@@ -6,7 +6,6 @@ matching-based lower bound on sequence length.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -15,11 +14,23 @@ from scipy.optimize import linear_sum_assignment
 
 from .graph import GraphError, _dist_row, dist, is_independent
 
-DEFAULT_STATE_CAP = 50_000_000
+DEFAULT_STATE_CAP = 4_000_000
 
 
 class ResourceExhausted(RuntimeError):
-    """Visited-set cap hit; the query outcome is unknown, not 'no'."""
+    """Visited-set cap hit; the query outcome is unknown, not 'no'. Says how
+    far the search got: `states` held, BFS `depth` completed (both sides
+    summed in a bidirectional search) and `frontier`, the states waiting to
+    be expanded."""
+
+    def __init__(self, cap, states, depth, frontier):
+        super().__init__(
+            f"visited-state cap of {cap} reached: {states} states,"
+            f" depth {depth}, frontier {frontier}"
+        )
+        self.states = states
+        self.depth = depth
+        self.frontier = frontier
 
 
 class Move(NamedTuple):
@@ -61,20 +72,34 @@ def _to_mask(vs):
     return m
 
 
-def _from_mask(m):
+def _bits(m):
+    """Set bit positions of m, ascending."""
     out = []
-    v = 0
     while m:
-        if m & 1:
-            out.append(v)
-        m >>= 1
-        v += 1
-    return frozenset(out)
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
+def _from_mask(m):
+    return frozenset(_bits(m))
+
+
+def _move(prev, nxt):
+    """The move between two adjacent states: the bit that left, the bit that
+    arrived."""
+    return Move((prev & ~nxt).bit_length() - 1, (nxt & ~prev).bit_length() - 1)
 
 
 def _check_config(g, c, name):
     if not is_independent(g, c):
         raise GraphError(f"{name} is not an independent set: {sorted(c)}")
+
+
+def _check_k(k):
+    if k < 1:
+        raise GraphError(f"jump distance k must be at least 1, got {k}")
 
 
 def k_adjacent(g, a, b, k):
@@ -92,95 +117,130 @@ def k_adjacent(g, a, b, k):
     return d is not None and d <= k
 
 
+def _ball(g, u, k):
+    """Mask of the vertices v != u with dist(u, v) <= k, by a bitmask BFS cut
+    off at depth k."""
+    adj = g.adj_mask
+    seen = front = 1 << u
+    depth = 0
+    while front and depth < k:
+        nb = 0
+        for w in _bits(front):
+            nb |= adj[w]
+        front = nb & ~seen
+        seen |= front
+        depth += 1
+    return seen ^ (1 << u)
+
+
+def _successor_fn(g, k):
+    """succ(cur) -> the next-state masks of state cur, in ascending (src, dst)
+    order. A token on u may land on any vertex of ball[u] outside the closed
+    neighbourhood of the other tokens. Balls are computed on first use and
+    kept on the graph, one table per k, so a search only pays for the
+    vertices its tokens visit."""
+    ball = g._balls.get(k)
+    if ball is None:
+        ball = g._balls[k] = [None] * g.n
+    adj = g.adj_mask
+
+    def succ(cur):
+        toks = _bits(cur)
+        after = []  # after.pop() gives the neighbours of the tokens above u
+        nb = 0
+        for u in reversed(toks):
+            after.append(nb)
+            nb |= adj[u]
+        before = 0  # neighbours of the tokens below u
+        out = []
+        for u in toks:
+            b = ball[u]
+            if b is None:
+                b = ball[u] = _ball(g, u, k)
+            dests = b & ~(cur | before | after.pop())
+            before |= adj[u]
+            base = cur ^ (1 << u)
+            while dests:
+                low = dests & -dests
+                out.append(base | low)
+                dests ^= low
+        return out
+
+    return succ
+
+
 def _succ_moves(g, cmask, k):
     """Deterministic (src, dst, next-mask) moves, ascending src then dst."""
-    tokens = _from_mask(cmask)
-    out = []
-    for u in sorted(tokens):
-        row = _dist_row(g, u)
-        rest = cmask & ~(1 << u)
-        for v in range(g.n):
-            if v == u or cmask >> v & 1:
-                continue
-            d = row[v]
-            if d is None or d > k:
-                continue
-            if g.adj_mask[v] & rest:
-                continue
-            out.append((u, v, rest | (1 << v)))
-    return out
+    return [(*_move(cmask, nxt), nxt) for nxt in _successor_fn(g, k)(cmask)]
 
 
 def successors(g, c, k):
     """All configurations one k-Jump move away from c."""
+    _check_k(k)
     _check_config(g, c, "configuration")
-    return {_from_mask(m) for _, _, m in _succ_moves(g, _to_mask(c), k)}
+    return {_from_mask(m) for m in _successor_fn(g, k)(_to_mask(c))}
 
 
-def _bfs(g, s, t, k, max_states, depth_cap=None, want_parents=False):
-    """Returns (found_depth, parents) with found_depth None when t was not
-    reached. parents maps state -> (prev_state, Move)."""
-    smask, tmask = _to_mask(s), _to_mask(t)
+def _search(g, k, max_states, smask, tmask=None, both=False, budget=None):
+    """The search loop: breadth-first from smask, one level at a time, until
+    tmask is met, `budget` levels are spent or the component is exhausted.
+    With both=True a second search grows from tmask as well and each level
+    expands the smaller frontier; k-Jump moves are reversible, so the two
+    meet on a shortest path. The cap counts the states of both sides.
+
+    Returns (met, parents): the state where the search reached tmask (None
+    if it did not) and the forward parent map, state -> previous state
+    (None at smask), in discovery order."""
+    fwd = {smask: None}
     if smask == tmask:
-        return 0, {}
-    depth = {smask: 0}
-    parents = {} if want_parents else None
-    q = deque([smask])
-    while q:
-        cur = q.popleft()
-        d = depth[cur]
-        if depth_cap is not None and d >= depth_cap:
-            continue
-        for u, v, nxt in _succ_moves(g, cur, k):
-            if nxt in depth:
-                continue
-            if len(depth) >= max_states:
-                raise ResourceExhausted(
-                    f"visited-state cap of {max_states} reached"
-                )
-            depth[nxt] = d + 1
-            if want_parents:
-                parents[nxt] = (cur, Move(u, v))
-            if nxt == tmask:
-                return d + 1, parents
-            q.append(nxt)
-    return None, parents
+        return smask, fwd
+    bwd = {} if tmask is None else {tmask: None}
+    sides = [[fwd, [smask], bwd]]
+    if both:
+        sides.append([bwd, [tmask], fwd])
+    succ = _successor_fn(g, k)
+    held = len(fwd) + len(bwd)
+    levels = 0
+    while budget is None or levels < budget:
+        side = min(sides, key=lambda sd: len(sd[1]))
+        seen, frontier, other = side
+        nxt_front = []
+        for cur in frontier:
+            for nxt in succ(cur):
+                if nxt in seen:
+                    continue
+                if nxt in other:
+                    seen[nxt] = cur
+                    return nxt, fwd
+                if held >= max_states:
+                    raise ResourceExhausted(
+                        max_states, held, levels, sum(len(sd[1]) for sd in sides)
+                    )
+                held += 1
+                seen[nxt] = cur
+                nxt_front.append(nxt)
+        if not nxt_front:
+            break
+        side[1] = nxt_front
+        levels += 1
+    return None, fwd
 
 
-def _explore(g, s, k, max_states, depth_cap=None, want_parents=False):
-    """Full component exploration from s. Returns (depth, parents) keyed by
-    state bitmask; parents maps state -> (prev_state, Move)."""
-    smask = _to_mask(s)
-    depth = {smask: 0}
-    parents = {} if want_parents else None
-    q = deque([smask])
-    while q:
-        cur = q.popleft()
-        d = depth[cur]
-        if depth_cap is not None and d >= depth_cap:
-            continue
-        for u, v, nxt in _succ_moves(g, cur, k):
-            if nxt in depth:
-                continue
-            if len(depth) >= max_states:
-                raise ResourceExhausted(
-                    f"visited-state cap of {max_states} reached"
-                )
-            depth[nxt] = d + 1
-            if want_parents:
-                parents[nxt] = (cur, Move(u, v))
-            q.append(nxt)
-    return depth, parents
+def _explore(g, s, k, max_states):
+    """Full component exploration from s: parent map keyed by state bitmask,
+    state -> previous state (None at s), in BFS discovery order."""
+    return _search(g, k, max_states, _to_mask(s))[1]
 
 
 def reachable_configs(g, c, k, max_states=DEFAULT_STATE_CAP):
     """Every configuration reachable from c, c included."""
+    _check_k(k)
     _check_config(g, c, "configuration")
-    depth, _ = _explore(g, c, k, max_states)
-    return {_from_mask(m) for m in depth}
+    return {_from_mask(m) for m in _explore(g, c, k, max_states)}
 
 
-def _check_pair(g, s, t):
+def _check_pair(g, s, t, k):
+    _check_k(k)
     _check_config(g, s, "start")
     _check_config(g, t, "target")
     if len(set(s)) != len(set(t)):
@@ -191,35 +251,39 @@ def _check_pair(g, s, t):
 
 def decide(g, s, t, k, max_states=DEFAULT_STATE_CAP):
     """Reachability of t from s in the k-Jump transition graph."""
-    _check_pair(g, s, t)
-    found, _ = _bfs(g, s, t, k, max_states)
-    return found is not None
+    _check_pair(g, s, t, k)
+    met, _ = _search(g, k, max_states, _to_mask(s), _to_mask(t), both=True)
+    return met is not None
 
 
 def shortest(g, s, t, k, max_states=DEFAULT_STATE_CAP):
-    """A minimum-length valid sequence from s to t, or None if unreachable."""
-    _check_pair(g, s, t)
-    s, t = frozenset(s), frozenset(t)
-    found, parents = _bfs(g, s, t, k, max_states, want_parents=True)
-    if found is None:
+    """A minimum-length valid sequence from s to t, or None if unreachable.
+    One-directional, so ties break towards the lowest (src, dst) move first."""
+    _check_pair(g, s, t, k)
+    s = frozenset(s)
+    smask, tmask = _to_mask(s), _to_mask(t)
+    met, parents = _search(g, k, max_states, smask, tmask)
+    if met is None:
         return None
     moves = []
-    cur = _to_mask(t)
-    smask = _to_mask(s)
+    cur = tmask
     while cur != smask:
-        cur, mv = parents[cur]
-        moves.append(mv)
+        prev = parents[cur]
+        moves.append(_move(prev, cur))
+        cur = prev
     moves.reverse()
     return MoveSequence(s, tuple(moves), k)
 
 
 def exists_within(g, s, t, k, budget, max_states=DEFAULT_STATE_CAP):
     """True iff a valid sequence of at most `budget` moves exists."""
-    _check_pair(g, s, t)
+    _check_pair(g, s, t, k)
     if budget < 0:
         raise GraphError("move budget must be nonnegative")
-    found, _ = _bfs(g, s, t, k, max_states, depth_cap=budget)
-    return found is not None
+    met, _ = _search(
+        g, k, max_states, _to_mask(s), _to_mask(t), both=True, budget=budget
+    )
+    return met is not None
 
 
 def validate_sequence(g, seq, k=None):
@@ -259,7 +323,7 @@ def lower_bound_moves(g, s, t, k):
     per-pair cost ceil(dist / k); a valid lower bound on sequence length since
     every token must end on some target vertex. Returns None when some token
     cannot reach any target in every matching (unbounded marker)."""
-    _check_pair(g, s, t)
+    _check_pair(g, s, t, k)
     svs, tvs = sorted(set(s)), sorted(set(t))
     r = len(svs)
     if r == 0:

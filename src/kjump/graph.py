@@ -28,7 +28,7 @@ _DIST_CACHE_LIMIT = 4096
 class Graph:
     """Immutable simple undirected graph with vertex ids 0..n-1."""
 
-    __slots__ = ("n", "edges", "adj", "adj_mask", "labels", "_dist_table")
+    __slots__ = ("n", "edges", "adj", "adj_mask", "labels", "_dist_table", "_balls")
 
     def __init__(self, n, edges, labels=None):
         self.n = n
@@ -51,6 +51,7 @@ class Graph:
         self.adj_mask = tuple(sum(1 << w for w in ns) for ns in self.adj)
         self.labels = dict(labels) if labels else {}
         self._dist_table = None
+        self._balls = {}  # k -> per-vertex k-ball masks, filled by the oracle
 
     def neighbors(self, v):
         return self.adj[v]

@@ -249,8 +249,8 @@ def assignment_to_sequence(inst, assignment):
 
 def sequence_to_assignment(inst, seq):
     """Extract a satisfying assignment from any valid start-to-target
-    sequence of length at most 2(m+n), by watching when each variable gadget
-    becomes positively or negatively open."""
+    sequence of length at most 2(m+n): variable i is true iff its gadget is
+    positively open (s(i, 0) and t(i, 0) both empty) at some step."""
     phi = inst.formula
     m, n = len(phi.clauses), phi.num_vars
     if len(seq.moves) > 2 * (m + n):
@@ -264,7 +264,6 @@ def sequence_to_assignment(inst, seq):
         raise GraphError("sequence does not run from the start set to the target set")
 
     pos_open = [False] * n
-    neg_open = [False] * n
     cur = set(seq.start)
     configs = [frozenset(cur)]
     for mv in seq.moves:
@@ -272,16 +271,11 @@ def sequence_to_assignment(inst, seq):
         cur.add(mv.dst)
         configs.append(frozenset(cur))
     for i in range(n):
-        s0, s1, t0 = inst.s(i, 0), inst.s(i, 1), inst.t(i, 0)
+        s0, t0 = inst.s(i, 0), inst.t(i, 0)
         for conf in configs:
             if s0 not in conf and t0 not in conf:
                 pos_open[i] = True
-            if s1 not in conf and t0 not in conf:
-                neg_open[i] = True
-    assignment = tuple(
-        True if pos_open[i] else False for i in range(n)
-    )
-    return assignment
+    return tuple(pos_open)
 
 
 @dataclass(frozen=True)

@@ -170,15 +170,15 @@ def test_criterion_2_lemma8_compiler(capsys, c1_graphs):
             for m0 in masks:
                 if m0 in visited:
                     continue
-                depth, parents = engine._explore(
-                    g, engine._from_mask(m0), d, 10**7, want_parents=True
-                )
-                visited |= depth.keys()
-                pairs_covered += len(depth) * (len(depth) - 1)
-                tree = {}  # mask -> (moves from root, config)
-                tree[m0] = ()
-                for child in sorted(parents, key=depth.get):
-                    par, mv = parents[child]
+                # parent map in BFS discovery order: parents precede children
+                parents = engine._explore(g, engine._from_mask(m0), d, 10**7)
+                visited |= parents.keys()
+                pairs_covered += len(parents) * (len(parents) - 1)
+                tree = {m0: ()}  # mask -> moves from root
+                for child, par in parents.items():
+                    if par is None:
+                        continue
+                    mv = engine._move(par, child)
                     tree[child] = tree[par] + (mv,)
                     pc = engine._from_mask(par)
                     cc = engine._from_mask(child)
@@ -187,8 +187,8 @@ def test_criterion_2_lemma8_compiler(capsys, c1_graphs):
                     back = simulate_move(g, cc, mv.dst, mv.src, 3)
                     assert back.final() == pc
                     edges_expanded += 2
-                if len(depth) > 1 and splices < 300:
-                    s_m, t_m = rng.sample(list(depth), 2)
+                if len(parents) > 1 and splices < 300:
+                    s_m, t_m = rng.sample(list(parents), 2)
                     back_moves = tuple(
                         Move(mv.dst, mv.src) for mv in reversed(tree[s_m])
                     )

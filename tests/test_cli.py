@@ -1,7 +1,9 @@
+import functools
 import json
 
 import pytest
 
+from kjump import engine
 from kjump.cli import run
 from kjump.graph import build_graph, graph_to_json
 
@@ -69,6 +71,25 @@ def test_decide_and_shortest(tmp_path, capsys):
     assert code == 0 and out["length"] == 2
     code, out = run_json(capsys, ["decide", inst, "--k", "1"])
     assert code == 0 and out["reconfigurable"] is True
+
+
+@pytest.mark.parametrize("k", ["-1", "0"])
+def test_decide_rejects_k_below_one(tmp_path, capsys, k):
+    inst = instance_file(tmp_path, path_graph(4), {0}, {3}, 2)
+    code = run(["decide", inst, "--k", k])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "at least 1" in json.loads(err)["error"]
+
+
+def test_state_cap_is_exit_three(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(engine, "decide", functools.partial(engine.decide, max_states=3))
+    inst = instance_file(tmp_path, path_graph(9), {0, 2, 4}, {4, 6, 8}, 3)
+    code = run(["decide", inst])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    message = json.loads(err)["error"]
+    assert "cap of 3" in message and "3 states" in message
 
 
 def test_shortest_unreachable_is_exit_zero(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 
@@ -25,6 +26,8 @@ from conftest import (
     cycle_graph,
     independent_sets,
     naive_decide,
+    naive_dist,
+    naive_is_independent,
     naive_reachable,
     naive_shortest_len,
     naive_successors,
@@ -278,6 +281,162 @@ def test_resource_cap_raises():
     g = path_graph(9)
     with pytest.raises(ResourceExhausted):
         decide(g, {0, 2, 4}, {4, 6, 8}, 3, max_states=3)
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda g, s, t, cap: reachable_configs(g, s, 2, max_states=cap),
+        lambda g, s, t, cap: decide(g, s, t, 2, max_states=cap),
+        lambda g, s, t, cap: shortest(g, s, t, 2, max_states=cap),
+        lambda g, s, t, cap: exists_within(g, s, t, 2, 20, max_states=cap),
+    ],
+    ids=["reachable_configs", "decide", "shortest", "exists_within"],
+)
+def test_resource_cap_reports_progress(search):
+    # s and t are 9 moves apart, so a cap of 5 states stops every search
+    g = path_graph(10)
+    s, t = {0, 2, 4}, {5, 7, 9}
+    assert naive_shortest_len(g, s, t, 2) == 9
+    with pytest.raises(ResourceExhausted) as info:
+        search(g, s, t, 5)
+    exc = info.value
+    assert exc.states == 5
+    assert exc.depth >= 1 and exc.frontier >= 1
+    assert f"{exc.states} states" in str(exc)
+    assert f"depth {exc.depth}" in str(exc)
+    assert f"frontier {exc.frontier}" in str(exc)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_every_search_rejects_k_below_one(k):
+    g = path_graph(4)
+    calls = [
+        lambda: successors(g, {0}, k),
+        lambda: reachable_configs(g, {0}, k),
+        lambda: decide(g, {0}, {3}, k),
+        lambda: shortest(g, {0}, {3}, k),
+        lambda: exists_within(g, {0}, {3}, k, 3),
+    ]
+    for call in calls:
+        with pytest.raises(GraphError, match="at least 1"):
+            call()
+
+
+# ---------------------------------------------------------------------------
+# the bitmask search core against plain references
+
+def _disjoint_union(a, b):
+    edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
+    return build_graph(a.n + b.n, edges)
+
+
+def _mixed_graphs(seed):
+    """Connected random graphs, plus disjoint unions of two, so that some
+    pairs are unreachable for want of a path as well as for blocking."""
+    conn = random_graphs(24, 7, seed=seed)
+    halves = random_graphs(16, 4, seed=seed + 1)
+    return conn + [_disjoint_union(a, b) for a, b in zip(halves[::2], halves[1::2])]
+
+
+def test_bidirectional_decide_and_budgets_match_naive():
+    unreachable = reachable = 0
+    for g in _mixed_graphs(seed=113):
+        sets = independent_sets(g, 3)
+        rng = random.Random(g.n * 31 + len(g.edges))
+        for _ in range(8):
+            s, t = rng.choice(sets), rng.choice(sets)
+            if len(s) != len(t):
+                continue
+            for k in (1, 2, 3):
+                expect = naive_decide(g, s, t, k)
+                assert decide(g, s, t, k) == expect
+                opt = naive_shortest_len(g, s, t, k)
+                assert (opt is not None) == expect
+                if opt is None:
+                    unreachable += 1
+                    assert not exists_within(g, s, t, k, 2 * g.n)
+                    continue
+                reachable += 1
+                assert exists_within(g, s, t, k, opt)
+                assert exists_within(g, s, t, k, opt + 1)
+                if opt > 0:
+                    assert not exists_within(g, s, t, k, opt - 1)
+    assert unreachable >= 20 and reachable >= 100
+
+
+def _reference_shortest_moves(g, s, t, k):
+    """Plain one-directional BFS over frozensets: moves tried in ascending
+    (src, dst) order, each state's parent is its first discoverer, and the
+    search stops when t is first discovered."""
+    s, t = frozenset(s), frozenset(t)
+    if s == t:
+        return ()
+    parent = {s: None}
+    q = deque([s])
+    while q:
+        cur = q.popleft()
+        for u in sorted(cur):
+            for v in range(g.n):
+                if v in cur:
+                    continue
+                d = naive_dist(g, u, v)
+                if d is None or d > k:
+                    continue
+                nxt = cur - {u} | {v}
+                if nxt in parent or not naive_is_independent(g, nxt):
+                    continue
+                parent[nxt] = (cur, (u, v))
+                if nxt == t:
+                    moves = []
+                    while parent[nxt] is not None:
+                        nxt, mv = parent[nxt]
+                        moves.append(mv)
+                    return tuple(reversed(moves))
+                q.append(nxt)
+    return None
+
+
+def test_shortest_moves_match_reference_bfs():
+    compared = 0
+    for g in _mixed_graphs(seed=127):
+        sets = independent_sets(g, 3)
+        rng = random.Random(g.n * 17 + len(g.edges))
+        for _ in range(6):
+            s, t = rng.choice(sets), rng.choice(sets)
+            if len(s) != len(t):
+                continue
+            for k in (1, 2, 3):
+                got = shortest(g, s, t, k)
+                ref = _reference_shortest_moves(g, s, t, k)
+                if ref is None:
+                    assert got is None
+                else:
+                    assert tuple((m.src, m.dst) for m in got.moves) == ref
+                    compared += 1
+    assert compared >= 100
+
+
+def test_succ_moves_ascending_src_then_dst():
+    for g in random_graphs(20, 8, seed=131):
+        for c in independent_sets(g, 3):
+            cmask = sum(1 << v for v in c)
+            for k in (1, 2, 4):
+                moves = engine._succ_moves(g, cmask, k)
+                pairs = [(u, v) for u, v, _ in moves]
+                assert pairs == sorted(set(pairs))
+                for u, v, nxt in moves:
+                    assert engine._from_mask(nxt) == c - {u} | {v}
+                assert {engine._from_mask(m) for _, _, m in moves} == (
+                    naive_successors(g, c, k)
+                )
+
+
+def test_from_mask_round_trip():
+    for vs in ([], [0], [3, 5, 64], list(range(0, 200, 7))):
+        m = engine._to_mask(vs)
+        assert engine._from_mask(m) == frozenset(vs)
+        assert engine._bits(m) == sorted(vs)
 
 
 def test_sequence_json_round_trip():
