@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class GraphError(ValueError):
@@ -199,12 +199,6 @@ class SplitDecomposition:
     indep_part: frozenset
     clusters: tuple  # Cluster, ascending by |nbhd| then discovery order
 
-    def cluster_of(self, v):
-        for i, c in enumerate(self.clusters):
-            if v in c.u_side or v in c.v_side:
-                return i
-        raise GraphError(f"vertex {v} not in any cluster")
-
 
 def _degree_partition(g):
     """Hammer-Simeone degree test. Returns (clique, indep) or a reason string."""
@@ -256,49 +250,25 @@ def _find_obstruction(g):
     return None
 
 
-def _all_split_partitions(g, start):
-    """Closure of a valid split partition under single moves and swaps."""
-    def key(part):
-        k, i = part
-        return (frozenset(k), frozenset(i))
-
-    seen = {key(start)}
-    queue = [start]
-    out = [start]
-    while queue:
-        kpart, ipart = queue.pop()
-        candidates = []
-        # clique -> independent move
-        for v in kpart:
-            if not any(w in ipart for w in g.adj[v]):
-                candidates.append((kpart - {v}, ipart | {v}))
-        # independent -> clique move
-        for u in ipart:
-            if all(w in set(g.adj[u]) for w in kpart):
-                candidates.append((kpart | {u}, ipart - {u}))
-        # swap
-        for u in ipart:
-            nu = set(g.adj[u])
-            for v in kpart:
-                if all(w in nu for w in kpart if w != v) and all(
-                    w == u or w not in ipart for w in g.adj[v]
-                ):
-                    candidates.append((kpart - {v} | {u}, ipart - {u} | {v}))
-        for cand in candidates:
-            ck = key(cand)
-            if ck not in seen:
-                seen.add(ck)
-                queue.append(cand)
-                out.append(cand)
-    return out
-
-
 def recognize_split(g):
     """Split recognition with the canonical max-independent-part partition.
 
     Among all valid (clique, independent) bipartitions the one with the
     largest independent part wins; ties go to the lexicographically smallest
     sorted clique part.
+
+    The partition is built directly from the Hammer-Simeone degree partition
+    (K0, I0), whose clique part K0 is a maximum clique (Hammer & Simeone
+    1981). Call a vertex y of K0 movable when it has no neighbor in I0. A
+    maximum clique meets any independent part in at most one vertex, so every
+    split partition has a clique part of size |K0| or |K0| - 1, and the
+    smaller ones, where K0 meets the independent part in one vertex y, are
+    exactly (K0 - y, I0 + y) for movable y. A partition with another
+    clique part of size |K0| swaps some v of K0 for some u of I0; v is not
+    adjacent to u (K0 + u would be a larger clique) nor to the rest of I0, so
+    v is movable. Hence if no vertex is movable, (K0, I0) is the only
+    partition with the largest independent part; otherwise moving the largest
+    movable vertex gives the lexicographically smallest clique part.
     """
     part = _degree_partition(g)
     if part is None:
@@ -308,12 +278,11 @@ def recognize_split(g):
     kpart, ipart = part
     if not is_independent(g, ipart) or not _is_clique(g, kpart):
         raise GraphError("degree partition inconsistency")  # pragma: no cover
-    best = None
-    for k2, i2 in _all_split_partitions(g, (kpart, ipart)):
-        cand = (-len(i2), tuple(sorted(k2)))
-        if best is None or cand < best[0]:
-            best = (cand, (k2, i2))
-    kpart, ipart = best[1]
+    movable = [v for v in kpart if not any(w in ipart for w in g.adj[v])]
+    if movable:
+        y = max(movable)
+        kpart.discard(y)
+        ipart.add(y)
     return _decompose(g, frozenset(kpart), frozenset(ipart))
 
 

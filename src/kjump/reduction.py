@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from . import engine
 from .graph import (
     GraphError,
-    bfs_distances,
     build_graph,
+    diameter,
     find_peo,
     verify_peo,
 )
@@ -289,12 +289,10 @@ class InstanceStats:
 
 def instance_stats(inst):
     g = inst.graph
-    diam = None
-    row0 = bfs_distances(g, 0) if g.n else []
-    if g.n and all(d is not None for d in row0):
-        diam = 0
-        for u in range(g.n):
-            diam = max(diam, max(bfs_distances(g, u)))
+    try:
+        diam = diameter(g)
+    except GraphError:  # empty or disconnected
+        diam = None
     order = peo_order(inst)
     chordal = verify_peo(g, order) and find_peo(g) is not None
     bound = lower_bound_moves(g, inst.start, inst.target, inst.k)

@@ -11,9 +11,9 @@ remaining cases reduce to a counting condition on |U^B|.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .graph import GraphError, build_graph, is_independent, recognize_split
+from .graph import GraphError, is_independent, recognize_split
 
 
 class ClusterKind(enum.Enum):
@@ -118,14 +118,7 @@ def condition(dec, size, i):
     ub = len(dec.indep_part)
     ni = dec.clusters[i].n_size
     n0 = dec.clusters[0].n_size
-    lemma = any(ni >= kp and ub >= size + ni + n0 - kp for kp in (0, 1, 2))
-    if ni >= 1:
-        # Two-case restatement; equivalent whenever |N_i| >= 1.
-        summary = (ni == 1 and ub >= size + ni + n0 - 1) or (
-            ni > 1 and ub >= size + ni + n0 - 2
-        )
-        assert lemma == summary, (size, i, ni, n0, ub)
-    return lemma
+    return any(ni >= kp and ub >= size + ni + n0 - kp for kp in (0, 1, 2))
 
 
 def _best_index(dec, indices):
@@ -134,9 +127,8 @@ def _best_index(dec, indices):
 
 def decide2(g, s, t, dec=None):
     """2-Jump reconfigurability decision for split graphs, with a trace of
-    the rule applied at each step. A precomputed decomposition of g may be
-    passed to amortize recognition over many queries; it is ignored when g
-    has isolated vertices (the stripped core differs from g)."""
+    the rule applied at each step. A precomputed `recognize_split(g)` may be
+    passed as dec to amortize recognition over many queries."""
     s, t = frozenset(s), frozenset(t)
     if not is_independent(g, s) or not is_independent(g, t):
         raise GraphError("start and target must be independent sets")
@@ -144,28 +136,27 @@ def decide2(g, s, t, dec=None):
         raise GraphError(f"size mismatch: |s| = {len(s)}, |t| = {len(t)}")
     trace = []
 
-    # Isolated vertices can neither emit nor receive tokens at any k.
+    # Isolated vertices can neither emit nor receive tokens at any k. Each
+    # one is a cluster with an empty clique side; drop those clusters.
     iso = frozenset(v for v in range(g.n) if not g.adj[v])
     if iso:
         if s & iso != t & iso:
             trace.append("isolated-vertex token mismatch")
             return Decision(False, trace)
         trace.append("isolated vertices stripped")
-        keep = sorted(set(range(g.n)) - iso)
-        remap = {v: i for i, v in enumerate(keep)}
-        core = build_graph(
-            len(keep), [(remap[u], remap[v]) for u, v in g.edges]
-        )
-        s = frozenset(remap[v] for v in s - iso)
-        t = frozenset(remap[v] for v in t - iso)
-        g = core
-        dec = None
-        if g.n == 0:
+        s, t = s - iso, t - iso
+        if len(iso) == g.n:
             trace.append("empty core: trivially reconfigurable")
             return Decision(True, trace)
 
     if dec is None:
         dec = recognize_split(g)  # raises NotSplitError on non-split input
+    if iso:
+        dec = replace(
+            dec,
+            indep_part=dec.indep_part - iso,
+            clusters=tuple(c for c in dec.clusters if c.v_side),
+        )
     if len(s) > len(dec.indep_part):
         trace.append("more tokens than independent-part vertices: always yes")
         return Decision(True, trace)

@@ -1,5 +1,7 @@
 import functools
+import itertools
 import json
+import re
 
 import pytest
 
@@ -109,6 +111,19 @@ def test_decide2_regressions(tmp_path, capsys):
     )
     code, out = run_json(capsys, ["decide2", no])
     assert code == 0 and out["reconfigurable"] is False
+
+
+def test_decide2_non_split_names_obstruction_in_input_ids(tmp_path, capsys):
+    # C4 on 1-2-3-4 with vertex 0 isolated
+    g = build_graph(5, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    code = run(["decide2", instance_file(tmp_path, g, {1}, {2}, 2)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    err = json.loads(captured.err)["error"]
+    match = re.fullmatch(r"not a split graph: induced (\w+) on \(([\d, ]+)\)", err)
+    kind, verts = match[1], [int(v) for v in match[2].split(",")]
+    induced = [(a, b) for a, b in itertools.combinations(sorted(verts), 2) if g.has_edge(a, b)]
+    assert (kind, len(set(verts)), len(induced)) == ("C4", 4, 4)
 
 
 def test_decide2_requires_k2(tmp_path, capsys):

@@ -34,6 +34,7 @@ from conftest import (
     naive_dist,
     path_graph,
     random_graphs,
+    split_graphs_upto,
     star_graph,
     two_cluster_graph,
 )
@@ -228,13 +229,16 @@ def test_clusters_sorted_by_neighborhood_size():
 
 def test_canonical_partition_matches_brute_force():
     rng = random.Random(11)
-    for _ in range(120):
-        g = random_split_graph(rng.randint(1, 7), rng)
+    graphs = [random_split_graph(rng.randint(1, 7), rng) for _ in range(120)]
+    for g in split_graphs_upto(8):
+        ids = rng.sample(range(g.n), g.n)
+        graphs += [g, build_graph(g.n, [(ids[u], ids[v]) for u, v in g.edges])]
+    for g in graphs:
         dec = recognize_split(g)
         parts = brute_split_partitions(g)
         assert parts, "generated graph should be split"
         best = min(parts, key=lambda p: (-len(p[1]), tuple(sorted(p[0]))))
-        assert (dec.clique_part, dec.indep_part) == best
+        assert (dec.clique_part, dec.indep_part) == best, sorted(g.edges)
 
 
 def test_recognition_agrees_with_forbidden_subgraph_check():

@@ -267,6 +267,11 @@ def test_stats_disconnected_diameter_none():
     assert st.chordal
 
 
+def test_stats_empty_instance_diameter_none():
+    st = instance_stats(build_instance(parse_e3cnf("p cnf 0 0"), 3))
+    assert (st.vertices, st.tokens, st.diameter, st.chordal) == (0, 0, None, True)
+
+
 def test_instance_json_round_trip():
     inst = build_instance(PHI1, 3)
     data = json.loads(json.dumps(instance_to_json(inst)))

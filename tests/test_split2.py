@@ -3,8 +3,15 @@ import random
 
 import pytest
 
-from kjump import engine
-from kjump.graph import GraphError, NotSplitError, build_graph, recognize_split
+from kjump import engine, split2
+from kjump.graph import (
+    Cluster,
+    GraphError,
+    NotSplitError,
+    SplitDecomposition,
+    build_graph,
+    recognize_split,
+)
 from kjump.generators import random_independent_set, random_split_graph
 from kjump.split2 import (
     ClusterKind,
@@ -174,6 +181,27 @@ def test_condition_arithmetic(two_per_side, three_per_side):
     assert not condition(dec3, 3, 0) and not condition(dec3, 3, 1)
 
 
+def test_condition_two_case_form():
+    # For |N_i| >= 1 the kappa form of the counting condition equals the
+    # two-case statement: kappa = 1 when |N_i| = 1, kappa = 2 when larger.
+    def dec_with(ub, n0, ni):
+        def cluster(k):
+            return Cluster(frozenset(), frozenset(), frozenset(), None, frozenset(range(k)))
+
+        return SplitDecomposition(
+            frozenset(), frozenset(range(ub)), (cluster(n0), cluster(ni))
+        )
+
+    checked = 0
+    for ni, n0, ub, size in itertools.product(range(1, 9), range(9), range(9), range(9)):
+        two_case = (ni == 1 and ub >= size + ni + n0 - 1) or (
+            ni > 1 and ub >= size + ni + n0 - 2
+        )
+        assert condition(dec_with(ub, n0, ni), size, 1) == two_case, (ni, n0, ub, size)
+        checked += two_case
+    assert checked > 100
+
+
 def test_condition_zero_neighborhood():
     # |N_i| = 0 reduces the condition to |U^B| >= size, true for typical sets
     from kjump.graph import _decompose
@@ -225,13 +253,62 @@ def test_decide2_errors(two_per_side):
         decide2(build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), {0, 2}, {1, 3})
 
 
-def test_decide2_isolated_vertices():
+def test_decide2_isolated_vertices(monkeypatch):
     # isolated vertex 3: tokens there can never move
     g = build_graph(4, [(0, 1), (0, 2)])
     assert not decide2(g, {3}, {1}).reconfigurable
     assert decide2(g, {3}, {3}).reconfigurable
     assert decide2(g, {1, 3}, {2, 3}).reconfigurable
     assert "isolated" in " ".join(decide2(g, {3}, {1}).trace)
+
+    # Isolated vertices placed among the ids: a passed decomposition is used
+    # as is, and gives the answer and trace of a fresh recognition.
+    rng = random.Random(53)
+    cases = []
+    cores = [random_split_graph(rng.randint(2, 7), rng) for _ in range(80)]
+    cores += [two_cluster_graph(per_side) for per_side in (2, 2, 3, 3) * 5]
+    for core in cores:
+        n = core.n + rng.randint(1, 2)
+        ids = rng.sample(range(n), core.n)  # the ids left over are isolated
+        g = build_graph(n, [(ids[u], ids[v]) for u, v in core.edges])
+        dec = recognize_split(g)
+        iso = {v for v in range(g.n) if not g.adj[v]}
+        sets = independent_sets(g)
+        for s in rng.sample(sets, min(4, len(sets))):
+            pool = [t for t in sets if len(t) == len(s)]
+            if rng.random() < 0.8:
+                pool = [t for t in pool if t & iso == s & iso]
+            cases.append((g, dec, s, rng.choice(pool)))
+
+    calls = []
+    real = split2.recognize_split
+    monkeypatch.setattr(
+        split2, "recognize_split", lambda g: calls.append(g) or real(g)
+    )
+    with_dec = [decide2(g, s, t, dec) for g, dec, s, t in cases]
+    assert calls == []
+    monkeypatch.undo()
+
+    reasons = set()
+    for (g, _, s, t), res in zip(cases, with_dec):
+        plain = decide2(g, s, t)
+        assert (res.reconfigurable, res.trace) == (plain.reconfigurable, plain.trace)
+        assert res.reconfigurable == naive_decide(g, s, t, 2), (g.edges, s, t)
+        reasons.add(res.trace[-1].split()[0])
+    assert {"isolated-vertex", "empty", "frozen", "common", "counting"} <= reasons
+
+
+def test_decide2_obstruction_names_vertices_of_g():
+    # C4 on 1-2-3-4 with vertex 0 isolated: the witness is in g's numbering
+    g = build_graph(5, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    with pytest.raises(NotSplitError) as ei:
+        decide2(g, {1}, {2})
+    kind, verts = ei.value.witness
+    induced = [
+        (a, b) for a, b in itertools.combinations(sorted(verts), 2) if g.has_edge(a, b)
+    ]
+    assert (kind, len(set(verts)), len(induced)) == ("C4", 4, 4)
+    assert f"induced C4 on {tuple(verts)}" in str(ei.value)
 
 
 def test_decide2_symmetry():
