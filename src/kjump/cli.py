@@ -8,6 +8,7 @@ Exit codes: 0 = computed (including "no" answers), 2 = input or usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -17,10 +18,13 @@ from .generators import random_connected_graph, random_pair, random_split_graph
 from .graph import (
     GraphError,
     NotSplitError,
-    diameter,
     find_peo,
+    graph_from_json,
     graph_to_json,
     is_connected,
+    json_int,
+    json_ints,
+    json_object,
     parse_graph,
     recognize_split,
 )
@@ -38,16 +42,17 @@ def _load_graph(path, fmt):
 
 
 def _load_instance(path):
-    data = json.loads(_read(path))
-    from .graph import graph_from_json
-
-    g = graph_from_json(data["graph"])
-    return g, frozenset(data["start"]), frozenset(data["target"]), int(data["k"])
+    data = json_object(json.loads(_read(path)), "instance")
+    return (
+        graph_from_json(data["graph"]),
+        frozenset(json_ints(data["start"], "start")),
+        frozenset(json_ints(data["target"], "target")),
+        json_int(data["k"], "k"),
+    )
 
 
 def _emit(payload):
-    json.dump(payload, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _cmd_recognize(args):
@@ -266,10 +271,15 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    """The parser, built on the first run and reused by every later one."""
+    return build_parser()
+
+
 def run(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

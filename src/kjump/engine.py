@@ -12,7 +12,16 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .graph import GraphError, _dist_row, dist, is_independent
+from .graph import (
+    GraphError,
+    _dist_row,
+    dist,
+    is_independent,
+    json_int,
+    json_ints,
+    json_object,
+    json_pairs,
+)
 
 DEFAULT_STATE_CAP = 4_000_000
 
@@ -125,12 +134,31 @@ def _ball(g, u, k):
     depth = 0
     while front and depth < k:
         nb = 0
-        for w in _bits(front):
-            nb |= adj[w]
+        while front:
+            low = front & -front
+            nb |= adj[low.bit_length() - 1]
+            front ^= low
         front = nb & ~seen
         seen |= front
         depth += 1
     return seen ^ (1 << u)
+
+
+def _ball_table(g, k):
+    """The graph's k-ball masks by vertex, None where not yet computed."""
+    table = g._balls.get(k)
+    if table is None:
+        table = g._balls[k] = [None] * g.n
+    return table
+
+
+def _cached_ball(g, u, k):
+    """_ball(g, u, k), computed on first use and kept on the graph."""
+    table = _ball_table(g, k)
+    b = table[u]
+    if b is None:
+        b = table[u] = _ball(g, u, k)
+    return b
 
 
 def _successor_fn(g, k):
@@ -139,9 +167,7 @@ def _successor_fn(g, k):
     neighbourhood of the other tokens. Balls are computed on first use and
     kept on the graph, one table per k, so a search only pays for the
     vertices its tokens visit."""
-    ball = g._balls.get(k)
-    if ball is None:
-        ball = g._balls[k] = [None] * g.n
+    ball = _ball_table(g, k)
     adj = g.adj_mask
 
     def succ(cur):
@@ -156,7 +182,7 @@ def _successor_fn(g, k):
         for u in toks:
             b = ball[u]
             if b is None:
-                b = ball[u] = _ball(g, u, k)
+                b = _cached_ball(g, u, k)
             dests = b & ~(cur | before | after.pop())
             before |= adj[u]
             base = cur ^ (1 << u)
@@ -288,30 +314,36 @@ def exists_within(g, s, t, k, budget, max_states=DEFAULT_STATE_CAP):
 
 def validate_sequence(g, seq, k=None):
     """Replay a move sequence, checking occupancy, distance and independence
-    at every step. Rejection is a value, not an exception."""
+    at every step. Rejection is a value, not an exception.
+
+    A move passes the distance check when dst lies in src's k-ball; only a
+    failing move pays for `dist`, to name the distance. The set before a
+    move is independent, so the set after it is independent exactly when
+    N(dst) misses the tokens other than src."""
     if k is None:
         k = seq.k
-    cur = set(seq.start)
-    if not is_independent(g, cur):
+    if not is_independent(g, seq.start):
         return ValidationReport(False, None, "start set is not independent")
-    for i, mv in enumerate(seq.moves):
-        if mv.src == mv.dst:
-            return ValidationReport(False, i, f"null move at {mv.src}")
-        if mv.src not in cur:
-            return ValidationReport(False, i, f"no token on {mv.src}")
-        if mv.dst in cur:
-            return ValidationReport(False, i, f"vertex {mv.dst} already occupied")
-        d = dist(g, mv.src, mv.dst)
-        if d is None:
-            return ValidationReport(False, i, f"{mv.src} cannot reach {mv.dst}")
-        if d > k:
+    adj = g.adj_mask
+    cur = _to_mask(seq.start)
+    for i, (src, dst) in enumerate(seq.moves):
+        if src == dst:
+            return ValidationReport(False, i, f"null move at {src}")
+        if src < 0 or not cur >> src & 1:
+            return ValidationReport(False, i, f"no token on {src}")
+        if dst >= 0 and cur >> dst & 1:
+            return ValidationReport(False, i, f"vertex {dst} already occupied")
+        if dst < 0 or not _cached_ball(g, src, k) >> dst & 1:
+            d = dist(g, src, dst)  # raises GraphError for dst out of range
+            if d is None:
+                return ValidationReport(False, i, f"{src} cannot reach {dst}")
             return ValidationReport(False, i, f"distance {d} exceeds bound {k}")
-        cur.discard(mv.src)
-        cur.add(mv.dst)
-        if not is_independent(g, cur):
+        cur ^= 1 << src
+        if adj[dst] & cur:
             return ValidationReport(
-                False, i, f"set not independent after moving {mv.src} to {mv.dst}"
+                False, i, f"set not independent after moving {src} to {dst}"
             )
+        cur |= 1 << dst
     return ValidationReport(True)
 
 
@@ -350,8 +382,9 @@ def sequence_to_json(seq):
 
 
 def sequence_from_json(data):
+    json_object(data, "sequence")
     return MoveSequence(
-        frozenset(data["start"]),
-        tuple(Move(int(a), int(b)) for a, b in data["moves"]),
-        int(data["k"]),
+        frozenset(json_ints(data["start"], "start")),
+        tuple(Move(a, b) for a, b in json_pairs(data["moves"], "moves")),
+        json_int(data["k"], "k"),
     )

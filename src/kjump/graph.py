@@ -51,7 +51,7 @@ class Graph:
         self.adj_mask = tuple(sum(1 << w for w in ns) for ns in self.adj)
         self.labels = dict(labels) if labels else {}
         self._dist_table = None
-        self._balls = {}  # k -> per-vertex k-ball masks, filled by the oracle
+        self._balls = {}  # k -> per-vertex k-ball masks, see engine._cached_ball
 
     def neighbors(self, v):
         return self.adj[v]
@@ -108,11 +108,12 @@ def dist(g, u, v):
 
 
 def shortest_path(g, u, v):
-    """One shortest u-v path with lowest-id parent tie-breaking, or None.
+    """One shortest u-v path, or None.
 
     Parents are chosen deterministically: BFS scans neighbors in ascending
-    order, so the first parent found for each vertex is the lowest-id one at
-    the previous level.
+    order, and each vertex keeps the parent that discovered it, which is the
+    first-discovered of its neighbors at the previous level (not necessarily
+    the lowest-id one).
     """
     if u == v:
         return [u]
@@ -143,17 +144,38 @@ def is_connected(g):
 
 
 def diameter(g):
+    """Largest eccentricity, by the ball recurrence on adjacency masks.
+
+    ball_0[u] = {u} and ball_{d+1}[u] = ball_d[u] | OR(ball_d[w] for w in
+    N(u)), so ball_d[u] holds the vertices within distance d of u, and the
+    diameter is the first level d at which every ball is full. A full ball
+    stays full, so each level updates only the balls that are not; in a
+    connected graph, which one BFS checks first, every such ball grows, so
+    the loop ends. Cost: O(D * m) big-int ORs of n bits, and no distance
+    table.
+    """
     if g.n == 0:
         raise GraphError("diameter of empty graph")
-    best = 0
-    for u in range(g.n):
-        row = _dist_row(g, u)
-        for d in row:
-            if d is None:
-                raise GraphError("diameter undefined: graph is disconnected")
-            if d > best:
-                best = d
-    return best
+    if not is_connected(g):
+        raise GraphError("diameter undefined: graph is disconnected")
+    full = (1 << g.n) - 1
+    balls = [1 << u for u in range(g.n)]
+    active = list(enumerate(g.adj)) if g.n > 1 else []
+    d = 0
+    while active:
+        nxt = balls.copy()
+        growing = []
+        for item in active:
+            u, ns = item
+            b = balls[u]
+            for w in ns:
+                b |= balls[w]
+            nxt[u] = b
+            if b != full:
+                growing.append(item)
+        balls, active = nxt, growing
+        d += 1
+    return d
 
 
 def is_independent(g, s):
@@ -336,31 +358,58 @@ def _decompose(g, kpart, ipart):
 
 
 def lex_bfs(g):
-    """Lexicographic BFS order, smallest vertex id first among ties."""
-    labels = {v: [] for v in range(g.n)}
+    """Lexicographic BFS order, smallest vertex id first among ties.
+
+    Partition refinement over class masks (Rose, Tarjan & Lueker 1976): the
+    unvisited vertices form an ordered list of classes, largest label first,
+    starting as one class. Each step visits the lowest bit v of the first
+    class and splits every class into (class & N(v), class & ~N(v)), in that
+    order, dropping empty parts. Cost: O(n * c) big-int ANDs for at most c
+    classes alive at once.
+    """
+    adj = g.adj_mask
+    classes = [(1 << g.n) - 1] if g.n else []
     order = []
-    remaining = set(range(g.n))
-    for step in range(g.n):
-        v = max(remaining, key=lambda x: (labels[x], -x))
+    while classes:
+        first = classes[0]
+        low = first & -first
+        classes[0] = first ^ low
+        v = low.bit_length() - 1
         order.append(v)
-        remaining.discard(v)
-        for w in g.adj[v]:
-            if w in remaining:
-                labels[w].append(g.n - step)
+        nb = adj[v]
+        refined = []
+        for c in classes:
+            inside = c & nb
+            if inside:
+                refined.append(inside)
+                c ^= inside
+            if c:
+                refined.append(c)
+        classes = refined
     return order
 
 
 def verify_peo(g, order):
-    """True iff every vertex is simplicial in the subgraph of its suffix."""
+    """True iff every vertex is simplicial in the subgraph of its suffix.
+
+    Walks the order with the mask `rest` of vertices not yet eliminated; the
+    later neighbours later = N(v) & rest must form a clique, that is
+    later & ~(N(w) | {w}) == 0 for each w in later. Cost: O(m) big-int ops,
+    one per edge.
+    """
     if sorted(order) != list(range(g.n)):
         raise GraphError("ordering is not a permutation of the vertices")
-    pos = {v: i for i, v in enumerate(order)}
+    adj = g.adj_mask
+    rest = (1 << g.n) - 1
     for v in order:
-        later = [w for w in g.adj[v] if pos[w] > pos[v]]
-        for i in range(len(later)):
-            for j in range(i + 1, len(later)):
-                if not g.has_edge(later[i], later[j]):
-                    return False
+        rest ^= 1 << v
+        later = adj[v] & rest
+        ws = later
+        while ws:
+            low = ws & -ws
+            if later & ~(adj[low.bit_length() - 1] | low):
+                return False
+            ws ^= low
     return True
 
 
@@ -383,11 +432,49 @@ def graph_to_json(g):
     return out
 
 
+def json_object(data, what):
+    """data, which must be a JSON object; GraphError otherwise."""
+    if not isinstance(data, dict):
+        raise GraphError(f"{what} must be a JSON object, got {data!r}")
+    return data
+
+
+def json_list(data, what):
+    """data, which must be a JSON list; GraphError otherwise."""
+    if not isinstance(data, list):
+        raise GraphError(f"{what} must be a JSON list, got {data!r}")
+    return data
+
+
+def json_int(data, what):
+    """data, which must be a JSON integer (not a float or a boolean)."""
+    if type(data) is not int:
+        raise GraphError(f"{what} must be an integer, got {data!r}")
+    return data
+
+
+def json_ints(data, what):
+    """data, which must be a JSON list of integers."""
+    if not all(type(x) is int for x in json_list(data, what)):
+        raise GraphError(f"{what} must be a list of integers, got {data!r}")
+    return data
+
+
+def json_pairs(data, what):
+    """data, which must be a JSON list of integer pairs."""
+    for p in json_list(data, what):
+        if not (type(p) is list and len(p) == 2 and type(p[0]) is type(p[1]) is int):
+            raise GraphError(f"{what} must hold pairs of integers, got {p!r}")
+    return data
+
+
 def graph_from_json(data):
+    json_object(data, "graph")
     labels = None
     if "labels" in data:
-        labels = {int(k): v for k, v in data["labels"].items()}
-    return build_graph(data["n"], [tuple(e) for e in data["edges"]], labels)
+        labels = {int(k): v for k, v in json_object(data["labels"], "labels").items()}
+    edges = json_pairs(data["edges"], "edges")
+    return build_graph(json_int(data["n"], "vertex count"), edges, labels)
 
 
 def parse_edgelist(text):

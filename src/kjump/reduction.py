@@ -20,6 +20,11 @@ from .graph import (
     build_graph,
     diameter,
     find_peo,
+    graph_from_json,
+    json_int,
+    json_ints,
+    json_list,
+    json_object,
     verify_peo,
 )
 from .engine import Move, MoveSequence, lower_bound_moves
@@ -319,20 +324,25 @@ def instance_to_json(inst):
 
 
 def instance_from_json(data):
-    from .graph import graph_from_json
-
-    phi = CnfFormula(
-        data["formula"]["numVars"],
-        tuple(
-            tuple((abs(lit) - 1, lit > 0) for lit in cl)
-            for cl in data["formula"]["clauses"]
-        ),
-    )
+    json_object(data, "instance")
+    formula = json_object(data["formula"], "formula")
+    num_vars = json_int(formula["numVars"], "numVars")
+    clauses = []
+    for cl in json_list(formula["clauses"], "clauses"):
+        lits = json_ints(cl, "clause")
+        if not all(0 < abs(lit) <= num_vars for lit in lits):
+            raise CnfError(f"clause {lits} names a variable outside 1..{num_vars}")
+        clauses.append(tuple((abs(lit) - 1, lit > 0) for lit in lits))
+    labels = {}
+    for v, lab in json_object(data["labelMap"], "labelMap").items():
+        if not isinstance(lab, str):
+            raise GraphError(f"label of vertex {v} must be a string, got {lab!r}")
+        labels[int(v)] = lab
     return ReductionInstance(
         graph_from_json(data["graph"]),
-        int(data["k"]),
-        frozenset(data["start"]),
-        frozenset(data["target"]),
-        {int(v): lab for v, lab in data["labelMap"].items()},
-        phi,
+        json_int(data["k"], "k"),
+        frozenset(json_ints(data["start"], "start")),
+        frozenset(json_ints(data["target"], "target")),
+        labels,
+        CnfFormula(num_vars, tuple(clauses)),
     )

@@ -1,17 +1,24 @@
 """Compile token-jump moves (distance up to the diameter) into k-Jump
 sequences for k >= 3.
 
-A single long jump u -> v is expanded recursively along a shortest path
-u_0..u_l. With w = u_{l-k+1}: if w is unoccupied and unblocked, move the
-token to w first and finish with one jump; otherwise some token sits on w or
-a neighbor u' of w, and that token jumps to v (within distance k) before the
-original token recurses into u'.
+A single long jump u -> v is expanded along a shortest path u_0..u_l. With
+w = u_{l-k+1}: if w is unoccupied and unblocked, move the token to w first
+and finish with one jump; otherwise some token sits on w or a neighbor u' of
+w, and that token jumps to v (within distance k) before the original token
+continues into u'.
 """
 
 from __future__ import annotations
 
-from .graph import GraphError, dist, is_independent, shortest_path
-from .engine import Move, MoveSequence, validate_sequence
+from .graph import GraphError, is_independent, shortest_path
+from .engine import (
+    Move,
+    MoveSequence,
+    _cached_ball,
+    _from_mask,
+    _to_mask,
+    validate_sequence,
+)
 
 
 class SimulationError(RuntimeError):
@@ -20,44 +27,47 @@ class SimulationError(RuntimeError):
 
 
 def _step(g, cur, u, v, k, out):
-    """Emit k-Jump moves transforming cur so the token on u ends up on v.
+    """Emit k-Jump moves transforming the state mask cur so the token on u
+    ends up on v. Returns the resulting state mask. Token identities may swap
+    when the blocked cases fire; only set equality of the outcome is
+    promised.
 
-    Returns the resulting configuration. Token identities may swap when the
-    blocked cases fire; only set equality of the outcome is promised.
-    """
-    d = dist(g, u, v)
-    if d is None:
-        raise GraphError(f"{u} cannot reach {v}")
-    if d <= k:
-        _emit(g, cur, u, v, k, out)
-        return cur - {u} | {v}
-    path = shortest_path(g, u, v)
-    ell = len(path) - 1
-    w = path[ell - k + 1]
-    rest = cur - {u}
-    occupied = w in cur
-    blocked = any(x in cur for x in g.adj[w])
-    if not occupied and not blocked:
-        cur = _step(g, cur, u, w, k, out)
-        _emit(g, cur, w, v, k, out)
-        return cur - {w} | {v}
-    # Prefer the token on w itself, else the lowest-id occupied neighbor.
-    if occupied:
-        uprime = w
-    else:
-        uprime = min(x for x in g.adj[w] if x in cur)
-    _emit(g, cur, uprime, v, k, out)
-    cur = cur - {uprime} | {v}
-    return _step(g, cur, u, uprime, k, out)
+    Iterative: the free case first brings the token to w and then jumps
+    w -> v, so that final jump waits on a stack while the token travels; the
+    blocked case hands the rest of the trip (u -> u') over to the loop."""
+    adj = g.adj_mask
+    pending = []  # final jumps (w, v), the innermost last
+    while not _cached_ball(g, u, k) >> v & 1:
+        path = shortest_path(g, u, v)
+        if path is None:
+            raise GraphError(f"{u} cannot reach {v}")
+        w = path[len(path) - k]
+        occupied = cur >> w & 1
+        near = adj[w] & cur
+        if not occupied and not near:
+            pending.append((w, v))
+            v = w
+            continue
+        # Prefer the token on w itself, else the lowest-id occupied neighbor.
+        uprime = w if occupied else (near & -near).bit_length() - 1
+        cur = _emit(g, cur, uprime, v, k, out)
+        v = uprime
+    cur = _emit(g, cur, u, v, k, out)
+    while pending:
+        cur = _emit(g, cur, *pending.pop(), k, out)
+    return cur
 
 
 def _emit(g, cur, src, dst, k, out):
-    d = dist(g, src, dst)
-    if d is None or d > k or src not in cur or dst in cur:
+    """Append the move src -> dst after checking it against the state mask
+    cur, which is independent; returns the state after the move."""
+    if not cur >> src & 1 or cur >> dst & 1 or not _cached_ball(g, src, k) >> dst & 1:
         raise SimulationError(f"illegal generated move {src} -> {dst}")
-    if not is_independent(g, cur - {src} | {dst}):
+    cur ^= 1 << src
+    if g.adj_mask[dst] & cur:
         raise SimulationError(f"generated move {src} -> {dst} breaks independence")
     out.append(Move(src, dst))
+    return cur | 1 << dst
 
 
 def simulate_move(g, c, u, v, k):
@@ -74,13 +84,11 @@ def simulate_move(g, c, u, v, k):
         raise GraphError(f"vertex {v} already occupied")
     if not is_independent(g, c - {u} | {v}):
         raise GraphError(f"move {u} -> {v} does not preserve independence")
-    if dist(g, u, v) is None:
-        raise GraphError(f"{u} cannot reach {v}")
     out = []
-    final = _step(g, set(c), u, v, k, out)
+    final = _step(g, _to_mask(c), u, v, k, out)
     seq = MoveSequence(c, tuple(out), k)
     report = validate_sequence(g, seq, k)
-    if not report or seq.final() != frozenset(final) or seq.final() != c - {u} | {v}:
+    if not report or seq.final() != _from_mask(final) or seq.final() != c - {u} | {v}:
         raise SimulationError(f"internal validation failed: {report}")
     return seq
 

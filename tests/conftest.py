@@ -126,6 +126,68 @@ def naive_reachable(g, s, k):
     return seen
 
 
+def naive_diameter(g):
+    """Largest pairwise naive_dist; None when some pair is disconnected."""
+    best = 0
+    for u, v in itertools.combinations(range(g.n), 2):
+        d = naive_dist(g, u, v)
+        if d is None:
+            return None
+        best = max(best, d)
+    return best
+
+
+def naive_lex_bfs(g):
+    """Lexicographic BFS with explicit label lists, O(n^2): each vertex keeps
+    the list of visit times (counted down from n) of its visited neighbours,
+    and the next vertex has the largest list, smallest id first."""
+    labels = {v: [] for v in range(g.n)}
+    order = []
+    remaining = set(range(g.n))
+    for step in range(g.n):
+        v = max(remaining, key=lambda x: (labels[x], -x))
+        order.append(v)
+        remaining.discard(v)
+        for w in g.adj[v]:
+            if w in remaining:
+                labels[w].append(g.n - step)
+    return order
+
+
+def naive_is_peo(g, order):
+    """Every vertex's neighbours later in the order are pairwise adjacent."""
+    pos = {v: i for i, v in enumerate(order)}
+    for v in order:
+        later = [w for w in g.adj[v] if pos[w] > pos[v]]
+        if any(not g.has_edge(a, b) for a, b in itertools.combinations(later, 2)):
+            return False
+    return True
+
+
+def naive_validate(g, start, moves, k):
+    """Replay moves with naive_dist and naive_is_independent, giving
+    (ok, failing step, reason) in the words of engine.validate_sequence."""
+    cur = set(start)
+    if not naive_is_independent(g, cur):
+        return False, None, "start set is not independent"
+    for i, (src, dst) in enumerate(moves):
+        if src == dst:
+            return False, i, f"null move at {src}"
+        if src not in cur:
+            return False, i, f"no token on {src}"
+        if dst in cur:
+            return False, i, f"vertex {dst} already occupied"
+        d = naive_dist(g, src, dst)
+        if d is None:
+            return False, i, f"{src} cannot reach {dst}"
+        if d > k:
+            return False, i, f"distance {d} exceeds bound {k}"
+        cur = cur - {src} | {dst}
+        if not naive_is_independent(g, cur):
+            return False, i, f"set not independent after moving {src} to {dst}"
+    return True, None, None
+
+
 def naive_chordal(g):
     """No induced cycle of length >= 4; brute force, fine up to n ~ 9."""
     for size in range(4, g.n + 1):
@@ -241,6 +303,30 @@ def split_graphs_upto(max_n):
                 bucket.append(G)
                 out.append(g)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def exhaustive_e3_formulas():
+    """Exhaustive E3 formulas, n <= 4, m <= 3: three distinct variables per
+    clause, distinct unordered clauses, every variable used somewhere (so the
+    instance is connected). All such formulas are satisfiable: each clause
+    excludes a 1/8 fraction of assignments and 3/8 < 1."""
+    from kjump.reduction import CnfFormula
+
+    formulas = []
+    for n in (3, 4):
+        universe = [
+            tuple(zip(vars3, signs))
+            for vars3 in itertools.combinations(range(n), 3)
+            for signs in itertools.product((True, False), repeat=3)
+        ]
+        for m in (1, 2, 3):
+            for combo in itertools.combinations(universe, m):
+                used = {v for cl in combo for v, _ in cl}
+                if len(used) == n:
+                    formulas.append(CnfFormula(n, combo))
+    assert len(formulas) == 92 + 384 + 4736
+    return tuple(formulas)
 
 
 def random_graphs(count, max_n, seed, connected=True):

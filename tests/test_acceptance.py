@@ -35,7 +35,12 @@ from kjump.reduction import (
 from kjump.simulate import simulate_move, simulate_sequence
 from kjump.split2 import decide2, distribution, is_frozen
 
-from conftest import atlas_graphs, random_graphs, split_graphs_upto
+from conftest import (
+    atlas_graphs,
+    exhaustive_e3_formulas,
+    random_graphs,
+    split_graphs_upto,
+)
 
 
 def _say(capsys, line):
@@ -99,24 +104,7 @@ def split8():
 
 @pytest.fixture(scope="module")
 def e3_corpus():
-    """Exhaustive E3 formulas, n <= 4, m <= 3: three distinct variables per
-    clause, distinct unordered clauses, every variable used somewhere (so the
-    instance is connected). All such formulas are satisfiable: each clause
-    excludes a 1/8 fraction of assignments and 3/8 < 1."""
-    formulas = []
-    for n in (3, 4):
-        universe = [
-            tuple(zip(vars3, signs))
-            for vars3 in itertools.combinations(range(n), 3)
-            for signs in itertools.product((True, False), repeat=3)
-        ]
-        for m in (1, 2, 3):
-            for combo in itertools.combinations(universe, m):
-                used = {v for cl in combo for v, _ in cl}
-                if len(used) == n:
-                    formulas.append(CnfFormula(n, combo))
-    assert len(formulas) == 92 + 384 + 4736
-    return formulas
+    return list(exhaustive_e3_formulas())
 
 
 def _satisfying(phi):

@@ -1,11 +1,14 @@
+import contextlib
 import functools
+import hashlib
+import io
 import itertools
 import json
 import re
 
 import pytest
 
-from kjump import engine
+from kjump import engine, reduction
 from kjump.cli import run
 from kjump.graph import build_graph, graph_to_json
 
@@ -220,6 +223,63 @@ def test_usage_and_input_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+GOOD_GRAPH = {"n": 3, "edges": [[0, 1], [1, 2]]}
+GOOD_INSTANCE = {"graph": GOOD_GRAPH, "start": [0], "target": [2], "k": 2}
+GOOD_SEQUENCE = {"start": [0], "moves": [[0, 2]], "k": 2}
+
+
+def _reduced_instance():
+    phi = reduction.parse_e3cnf("p cnf 3 1\n1 2 -3 0\n")
+    return reduction.instance_to_json(reduction.build_instance(phi, 3))
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("decide", {**GOOD_INSTANCE, "start": ["a"]}),
+        ("decide", [1, 2]),
+        ("decide", {**GOOD_INSTANCE, "graph": [3]}),
+        ("decide", {**GOOD_INSTANCE, "graph": {"n": "3", "edges": []}}),
+        ("decide", {**GOOD_INSTANCE, "graph": {"n": 3, "edges": [0, 1]}}),
+        ("decide", {**GOOD_INSTANCE, "graph": {"n": 3, "edges": [[0, 1.0]]}}),
+        ("decide", {**GOOD_INSTANCE, "graph": {**GOOD_GRAPH, "labels": [1]}}),
+        ("decide", {**GOOD_INSTANCE, "target": 2}),
+        ("decide", {**GOOD_INSTANCE, "k": None}),
+        ("verify-sequence", [1]),
+        ("verify-sequence", {**GOOD_SEQUENCE, "moves": [5]}),
+        ("verify-sequence", {**GOOD_SEQUENCE, "moves": [[0, 1, 2]]}),
+        ("verify-sequence", {**GOOD_SEQUENCE, "start": [True]}),
+        ("stats", "null"),
+        ("stats", {**_reduced_instance(), "formula": {"numVars": 3, "clauses": [["x"]]}}),
+        ("stats", {**_reduced_instance(), "formula": {"numVars": 3, "clauses": [[1, 2, 9]]}}),
+        ("stats", {**_reduced_instance(), "labelMap": {"0": [1]}}),
+        ("stats", {**_reduced_instance(), "start": {"0": 1}}),
+    ],
+)
+def test_bad_json_shape_is_exit_two(tmp_path, capsys, command, doc):
+    if command == "verify-sequence":
+        inst = write(tmp_path, "i.json", GOOD_INSTANCE)
+        argv = ["verify", inst, write(tmp_path, "s.json", doc)]
+    else:
+        argv = [command, write(tmp_path, "i.json", doc)]
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert set(json.loads(err)) == {"error"}
+
+
+def test_simulate_long_path_needs_no_recursion(tmp_path, capsys):
+    # One jump across a 2,500-vertex path expands into about 1,250 moves.
+    g = path_graph(2500)
+    gfile = write(tmp_path, "g.json", graph_to_json(g))
+    sfile = write(tmp_path, "s.json", {"start": [0], "moves": [[0, 2499]], "k": 2499})
+    code, out = run_json(capsys, ["simulate", gfile, sfile, "--k", "3"])
+    assert code == 0
+    sim = engine.sequence_from_json(out["sequence"])
+    assert engine.validate_sequence(g, sim, 3)
+    assert sim.final() == {2499} and len(sim) == out["length"] == 1249
+
+
 def test_stdin_input(tmp_path, capsys, monkeypatch):
     import io
 
@@ -228,3 +288,155 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     )
     code, out = run_json(capsys, ["recognize", "-"])
     assert code == 0 and out["n"] == 3
+
+
+# ---------------------------------------------------------------------------
+# golden output: sha256 prefixes of stdout pinned from a reference run, so the
+# CLI's bytes cannot drift when the kernels underneath change
+
+def _stdout(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = run(argv)
+    assert code == 0, argv
+    return buf.getvalue()
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def pipeline_digests(tmp_path, cnf, k, bits):
+    """Digest of the stdout of each reduction-pipeline subcommand on one
+    formula, run the way a script chains them: the instance, the graph and
+    the witness go through files."""
+    cnf_file = write(tmp_path, "phi.cnf", cnf)
+    out = {"reduce": _stdout(["reduce", cnf_file, "--k", str(k)])}
+    inst = write(tmp_path, "inst.json", out["reduce"])
+    gfile = write(tmp_path, "graph.json", json.loads(out["reduce"])["graph"])
+    out["stats"] = _stdout(["stats", inst])
+    out["witness"] = _stdout(["witness", inst, "--assignment", bits])
+    wit = write(tmp_path, "wit.json", json.loads(out["witness"])["sequence"])
+    out["verify"] = _stdout(["verify", inst, wit])
+    out["extract"] = _stdout(["extract", inst, wit])
+    out["simulate"] = _stdout(["simulate", gfile, wit, "--k", "3"])
+    return {cmd: _digest(text) for cmd, text in out.items()}
+
+
+# (planted E3-CNF formula, k, planted assignment)
+GOLDEN_FORMULAS = [
+    ("p cnf 3 1\n-3 -1 -2 0\n", 3, "010"),
+    ("p cnf 4 3\n-2 3 -4 0\n1 2 4 0\n-2 -1 -3 0\n", 4, "1000"),
+    ("p cnf 6 4\n2 -1 3 0\n5 6 -4 0\n2 -5 1 0\n1 -3 -6 0\n", 5, "110110"),
+    ("p cnf 8 5\n1 -6 3 0\n2 -7 5 0\n8 4 -1 0\n-6 3 -5 0\n7 4 6 0\n", 3, "10010000"),
+    (
+        "p cnf 10 7\n2 1 -9 0\n6 -8 -4 0\n3 -7 -5 0\n10 -4 -3 0\n6 7 1 0\n"
+        "-8 1 -5 0\n-3 -9 -10 0\n",
+        4,
+        "1110000101",
+    ),
+    (
+        "p cnf 12 9\n-10 -1 12 0\n8 5 2 0\n-6 -7 9 0\n4 -3 11 0\n4 2 9 0\n"
+        "-1 -8 -12 0\n-3 5 -2 0\n10 1 -3 0\n-7 10 12 0\n",
+        5,
+        "010000110100",
+    ),
+]
+
+GOLDEN_PIPELINE = [
+    {
+        "reduce": "7f803489107a8084",
+        "stats": "2cd4dfa2c7610918",
+        "witness": "b2154b866ba0f39d",
+        "verify": "3393e03ee368cd85",
+        "extract": "f27ce6377bec2bd5",
+        "simulate": "9f246c8d99aa3bf5",
+    },
+    {
+        "reduce": "24b99671fb2cc4b5",
+        "stats": "1058134105663536",
+        "witness": "4e6b9c295681a6fa",
+        "verify": "433dc2d8f1a812f2",
+        "extract": "44c03788af6f5763",
+        "simulate": "966ff243dda988d9",
+    },
+    {
+        "reduce": "f987a42b03220a63",
+        "stats": "5803d7552d4a6a81",
+        "witness": "9c6933a41cdc7f45",
+        "verify": "3b0a8b47ee7e6266",
+        "extract": "f66a630c32826646",
+        "simulate": "aa01ca69a30224e6",
+    },
+    {
+        "reduce": "e40ddb93fd680f24",
+        "stats": "71cb746b9dbba27e",
+        "witness": "b0d5d18053ba5dbf",
+        "verify": "249cdf9276c44a70",
+        "extract": "591ef8cbeb032e99",
+        "simulate": "1a980d403f35f0dc",
+    },
+    {
+        "reduce": "aeb6d930e1e12692",
+        "stats": "4c7ce147fe10171a",
+        "witness": "c921596b0717ee1b",
+        "verify": "ae7ff708a582f4d0",
+        "extract": "c08bb2678abce6d4",
+        "simulate": "35d4922ed8d6fbe6",
+    },
+    {
+        "reduce": "27360f8adc97f962",
+        "stats": "e0e65fcf1763d653",
+        "witness": "89fc565034c78b83",
+        "verify": "be41f428858ef73e",
+        "extract": "0ca39398615ceb1e",
+        "simulate": "b225a3aa3707e893",
+    },
+]
+
+
+def golden_graphs():
+    """Chordal and non-chordal graphs for `kjump recognize`, which prints
+    the PEO found by LexBFS."""
+    return {
+        "path6": path_graph(6),
+        "c4": cycle_graph(4),
+        "c5": cycle_graph(5),
+        "two-cluster": two_cluster_graph(3),
+        "fan": build_graph(
+            6, [(0, i) for i in range(1, 6)] + [(i, i + 1) for i in range(1, 5)]
+        ),
+        "house": build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (3, 4)]),
+        "islands": build_graph(
+            9, [(1, 4), (4, 7), (1, 7), (2, 5), (5, 8), (8, 2), (3, 6)]
+        ),
+        "reduction-k4": reduction.build_instance(
+            reduction.parse_e3cnf(GOLDEN_FORMULAS[1][0]), 4
+        ).graph,
+    }
+
+
+GOLDEN_RECOGNIZE = {
+    "path6": "1819036f42586758",
+    "c4": "d2d1996910284063",
+    "c5": "cc147a6079705c5f",
+    "two-cluster": "a1b98bc98b670cd3",
+    "fan": "9d832f6a29bdac6e",
+    "house": "8d1e7462bbcd9d7a",
+    "islands": "f055a89400c193a6",
+    "reduction-k4": "cf61e8c2f32c7810",
+}
+
+
+@pytest.mark.parametrize("idx", range(len(GOLDEN_FORMULAS)))
+def test_golden_pipeline_output(tmp_path, idx):
+    cnf, k, bits = GOLDEN_FORMULAS[idx]
+    assert pipeline_digests(tmp_path, cnf, k, bits) == GOLDEN_PIPELINE[idx]
+
+
+def test_golden_recognize_output(tmp_path):
+    got = {
+        name: _digest(_stdout(["recognize", write(tmp_path, "g.json", graph_to_json(g))]))
+        for name, g in golden_graphs().items()
+    }
+    assert got == GOLDEN_RECOGNIZE

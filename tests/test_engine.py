@@ -1,5 +1,7 @@
+import collections
 import itertools
 import random
+import re
 from collections import deque
 
 import pytest
@@ -31,6 +33,7 @@ from conftest import (
     naive_reachable,
     naive_shortest_len,
     naive_successors,
+    naive_validate,
     path_graph,
     random_graphs,
     star_graph,
@@ -212,6 +215,55 @@ def test_validate_occupancy_and_independence():
     assert not r and "start" in r.reason
     r = validate_sequence(g, seq({0}, [(0, 0)], 2), 2)
     assert not r and "null move" in r.reason
+
+
+def test_validate_matches_naive_replay():
+    # Random graphs with isolated vertices and several components, random
+    # starts (some not independent) and random moves, so that every failure
+    # kind shows up, at the first step and later ones.
+    rng = random.Random(31)
+    kinds = collections.Counter()
+    for _ in range(3000):
+        n = rng.randint(1, 10)
+        g = build_graph(
+            n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.3]
+        )
+        start = set(rng.sample(range(n), rng.randint(0, min(n, 4))))
+        cur, moves = set(start), []
+        for _ in range(rng.randint(0, 5)):
+            if cur and rng.random() < 0.85:
+                src = rng.choice(sorted(cur))
+            else:
+                src = rng.randrange(n)
+            dst = rng.randrange(n)
+            moves.append((src, dst))
+            cur = cur - {src} | {dst}
+        k = rng.randint(1, 4)
+        report = validate_sequence(g, seq(start, moves, k), k)
+        want = naive_validate(g, start, moves, k)
+        assert (report.ok, report.step, report.reason) == want
+        kinds[re.sub(r"[\d-]+", "#", want[2] or "valid")] += 1
+    assert set(kinds) == {
+        "valid",
+        "start set is not independent",
+        "null move at #",
+        "no token on #",
+        "vertex # already occupied",
+        "# cannot reach #",
+        "distance # exceeds bound #",
+        "set not independent after moving # to #",
+    }
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_validate_vertex_out_of_range():
+    g = path_graph(4)
+    for dst in (4, 9, -1, -7):
+        with pytest.raises(GraphError, match="out of range"):
+            validate_sequence(g, seq({0}, [(0, dst)], 2), 2)
+    for src in (-1, 9):
+        report = validate_sequence(g, seq({0}, [(src, 2)], 2), 2)
+        assert (report.step, report.reason) == (0, f"no token on {src}")
 
 
 def test_validate_uses_sequence_k_by_default():

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import random
@@ -24,14 +25,19 @@ from kjump.graph import (
     verify_peo,
 )
 from kjump.generators import random_split_graph
+from kjump.reduction import build_instance
 
 from conftest import (
     atlas_graphs,
     brute_split_partitions,
     complete_graph,
     cycle_graph,
+    exhaustive_e3_formulas,
     naive_chordal,
+    naive_diameter,
     naive_dist,
+    naive_is_peo,
+    naive_lex_bfs,
     path_graph,
     random_graphs,
     split_graphs_upto,
@@ -102,6 +108,13 @@ def test_shortest_path_lowest_id_tie_break():
     g = cycle_graph(4)
     assert shortest_path(g, 0, 2) == [0, 1, 2]
     assert shortest_path(g, 0, 0) == [0]
+
+
+def test_shortest_path_first_discovered_parent_wins():
+    # 6-cycle 0-1-4-5-3-2-0: 5 is discovered from 4 (reached through 1,
+    # dequeued before 3), not from its lowest-id neighbour 3 on level 2.
+    g = build_graph(6, [(0, 1), (0, 2), (1, 4), (2, 3), (3, 5), (4, 5)])
+    assert shortest_path(g, 0, 5) == [0, 1, 4, 5]
 
 
 def test_shortest_path_none_across_components():
@@ -310,6 +323,87 @@ def test_peo_matches_exhaustive_chordality():
         edges = [e for e in itertools.combinations(range(8), 2) if rng.random() < 0.35]
         g = build_graph(8, edges)
         assert (find_peo(g) is not None) == naive_chordal(g), g.edges
+
+
+def _kernel_corpus():
+    """Every atlas graph with <= 7 vertices, then 2,000 seeded random graphs
+    with 0-13 vertices at densities from empty to near-complete (many of
+    them disconnected), and 300 random split graphs, which are chordal."""
+    yield from atlas_graphs(7)
+    rng = random.Random(77)
+    for _ in range(2000):
+        n = rng.randint(0, 13)
+        p = rng.choice((0.0, 0.15, 0.3, 0.5, 0.8, 1.0))
+        yield build_graph(
+            n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        )
+    for _ in range(300):
+        yield random_split_graph(rng.randint(1, 13), rng)
+
+
+def check_chordality_kernels(g, rng):
+    """lex_bfs, find_peo and verify_peo (on the LexBFS order and on random
+    orders) against the naive references; returns whether g is chordal."""
+    order = naive_lex_bfs(g)
+    assert lex_bfs(g) == order
+    peo = order[::-1]
+    chordal = naive_is_peo(g, peo)
+    assert find_peo(g) == (peo if chordal else None)
+    assert verify_peo(g, peo) == chordal
+    for _ in range(3):
+        perm = rng.sample(range(g.n), g.n)
+        assert verify_peo(g, perm) == naive_is_peo(g, perm)
+    return chordal
+
+
+def check_diameter(g):
+    """diameter against naive_diameter; returns whether g is connected."""
+    if g.n == 0:
+        with pytest.raises(GraphError, match="empty"):
+            diameter(g)
+        return False
+    want = naive_diameter(g)
+    if want is None:
+        with pytest.raises(GraphError, match="disconnected"):
+            diameter(g)
+    else:
+        assert diameter(g) == want
+    return want is not None
+
+
+def test_kernels_match_naive_references():
+    rng = random.Random(5)
+    seen = collections.Counter()
+    for g in _kernel_corpus():
+        seen["graphs"] += 1
+        seen["chordal"] += check_chordality_kernels(g, rng)
+        seen["disconnected"] += g.n > 0 and not check_diameter(g)
+        seen["tiny"] += g.n <= 1
+    assert seen["graphs"] == len(atlas_graphs(7)) + 2300
+    assert min(seen["chordal"], seen["graphs"] - seen["chordal"]) > 500
+    assert seen["disconnected"] > 500 and seen["tiny"] > 100
+
+
+def test_kernels_on_e3_instances():
+    # A sample of the exhaustive E3 corpus of criterion 4 (5,212 formulas):
+    # the naive references take about 1 ms (LexBFS) and 40 ms (diameter) per
+    # instance, too slow for all 15,636 instances.
+    rng = random.Random(9)
+    formulas = exhaustive_e3_formulas()
+    for i, phi in enumerate(formulas[::20]):
+        for k in (3, 4, 5):
+            g = build_instance(phi, k).graph
+            assert check_chordality_kernels(g, rng)
+            if i % 10 == 0:
+                assert check_diameter(g)
+
+
+def test_kernels_on_long_path():
+    # The recursive and quadratic versions of these kernels choked here.
+    g = path_graph(1000)
+    assert diameter(g) == 999
+    assert lex_bfs(g) == list(range(1000))
+    assert find_peo(g) == list(range(999, -1, -1))
 
 
 # ---------------------------------------------------------------------------
