@@ -14,7 +14,6 @@ from scipy.optimize import linear_sum_assignment
 
 from .graph import (
     GraphError,
-    _dist_row,
     dist,
     is_independent,
     json_int,
@@ -161,30 +160,35 @@ def _cached_ball(g, u, k):
     return b
 
 
+def _free_masks(adj, cur, toks):
+    """(free, alone) for state cur with tokens toks: the vertices neither
+    holding nor adjacent to a token, and the neighbours of exactly one
+    token. A token on u may land on ball[u] & (free | adj[u] & alone), the
+    vertices outside the closed neighbourhood of the other tokens."""
+    once = twice = 0
+    for u in toks:
+        nb = adj[u]
+        twice |= once & nb
+        once |= nb
+    return ~(cur | once), once & ~twice
+
+
 def _successor_fn(g, k):
     """succ(cur) -> the next-state masks of state cur, in ascending (src, dst)
-    order. A token on u may land on any vertex of ball[u] outside the closed
-    neighbourhood of the other tokens. Balls are computed on first use and
-    kept on the graph, one table per k, so a search only pays for the
-    vertices its tokens visit."""
+    order. Balls are computed on first use and kept on the graph, one table
+    per k, so a search only pays for the vertices its tokens visit."""
     ball = _ball_table(g, k)
     adj = g.adj_mask
 
     def succ(cur):
         toks = _bits(cur)
-        after = []  # after.pop() gives the neighbours of the tokens above u
-        nb = 0
-        for u in reversed(toks):
-            after.append(nb)
-            nb |= adj[u]
-        before = 0  # neighbours of the tokens below u
+        free, alone = _free_masks(adj, cur, toks)
         out = []
         for u in toks:
             b = ball[u]
             if b is None:
                 b = _cached_ball(g, u, k)
-            dests = b & ~(cur | before | after.pop())
-            before |= adj[u]
+            dests = b & (free | adj[u] & alone)
             base = cur ^ (1 << u)
             while dests:
                 low = dests & -dests
@@ -207,55 +211,116 @@ def successors(g, c, k):
     return {_from_mask(m) for m in _successor_fn(g, k)(_to_mask(c))}
 
 
-def _search(g, k, max_states, smask, tmask=None, both=False, budget=None):
-    """The search loop: breadth-first from smask, one level at a time, until
-    tmask is met, `budget` levels are spent or the component is exhausted.
-    With both=True a second search grows from tmask as well and each level
-    expands the smaller frontier; k-Jump moves are reversible, so the two
-    meet on a shortest path. The cap counts the states of both sides.
+class _Side:
+    """One direction of a search: the parent map in discovery order, the
+    BFS levels found so far (`levels[-1]` is the frontier), and the hub
+    cache, hub -> mask of the completions already handled from it."""
 
-    Returns (met, parents): the state where the search reached tmask (None
-    if it did not) and the forward parent map, state -> previous state
-    (None at smask), in discovery order."""
-    fwd = {smask: None}
-    if smask == tmask:
-        return smask, fwd
-    bwd = {} if tmask is None else {tmask: None}
-    sides = [[fwd, [smask], bwd]]
-    if both:
-        sides.append([bwd, [tmask], fwd])
-    succ = _successor_fn(g, k)
-    held = len(fwd) + len(bwd)
-    levels = 0
-    while budget is None or levels < budget:
-        side = min(sides, key=lambda sd: len(sd[1]))
-        seen, frontier, other = side
+    __slots__ = ("seen", "levels", "known")
+
+    def __init__(self, root):
+        self.seen = {root: None}
+        self.levels = [[root]]
+        self.known = {}
+
+
+def _search(g, k, max_states, smask, tmask=None, budget=None, whole_level=False):
+    """The search loop: breadth-first, one level at a time. Without tmask it
+    explores the component of smask. With tmask a second side grows from
+    tmask, each level expands the smaller frontier, and the search ends when
+    the sides meet (k-Jump moves are reversible, so they meet on a shortest
+    path), `budget` levels are spent or a side runs out. The cap counts the
+    states of both sides.
+
+    A move takes a token off u and puts it on a vertex of ball[u]; the
+    tokens left behind form the move's hub y = cur - u, shared by every
+    state y + v. Each side keeps, per hub, the completions v it has already
+    handled, so expanding another state of the same hub skips them; the
+    other states are still checked against `seen`. Skipped states are all
+    seen states, so discovery order, parents and meeting points are those of
+    a search without the cache.
+
+    Returns (meets, fwd, bwd): the states where the sides met (the first one
+    found, or with whole_level=True every meeting state of the level that
+    found one), and the two sides (bwd None without tmask)."""
+    fwd = _Side(smask)
+    if tmask is None:
+        bwd, sides = None, [(fwd, {})]
+    else:
+        bwd = _Side(tmask)
+        if smask == tmask:
+            return [smask], fwd, bwd
+        sides = [(fwd, bwd.seen), (bwd, fwd.seen)]
+    ball = _ball_table(g, k)
+    adj = g.adj_mask
+    held = len(sides)
+    depth = 0
+    meets = {}
+    while budget is None or depth < budget:
+        side, other = min(sides, key=lambda sd: len(sd[0].levels[-1]))
+        seen, known = side.seen, side.known
         nxt_front = []
-        for cur in frontier:
-            for nxt in succ(cur):
-                if nxt in seen:
+        for cur in side.levels[-1]:
+            # _bits and _free_masks in one pass: this is the hot loop
+            toks = []
+            once = twice = 0
+            m = cur
+            while m:
+                low = m & -m
+                u = low.bit_length() - 1
+                toks.append(u)
+                nb = adj[u]
+                twice |= once & nb
+                once |= nb
+                m ^= low
+            free, alone = ~(cur | once), once & ~twice
+            for u in toks:
+                b = ball[u]
+                if b is None:
+                    b = _cached_ball(g, u, k)
+                dests = b & (free | adj[u] & alone)
+                if not dests:
                     continue
-                if nxt in other:
+                y = cur ^ (1 << u)
+                done = known.get(y, 0)
+                dests &= ~done
+                if not dests:
+                    continue
+                known[y] = done | dests
+                while dests:
+                    low = dests & -dests
+                    dests ^= low
+                    nxt = y | low
+                    if nxt in seen:
+                        continue
+                    if nxt in other:
+                        if not whole_level:
+                            return [nxt], fwd, bwd
+                        meets[nxt] = None
+                        continue
+                    if held >= max_states:
+                        raise ResourceExhausted(
+                            max_states,
+                            held,
+                            depth,
+                            sum(len(sd.levels[-1]) for sd, _ in sides),
+                        )
+                    held += 1
                     seen[nxt] = cur
-                    return nxt, fwd
-                if held >= max_states:
-                    raise ResourceExhausted(
-                        max_states, held, levels, sum(len(sd[1]) for sd in sides)
-                    )
-                held += 1
-                seen[nxt] = cur
-                nxt_front.append(nxt)
+                    nxt_front.append(nxt)
+        if meets:
+            return list(meets), fwd, bwd
         if not nxt_front:
             break
-        side[1] = nxt_front
-        levels += 1
-    return None, fwd
+        side.levels.append(nxt_front)
+        depth += 1
+    return [], fwd, bwd
 
 
 def _explore(g, s, k, max_states):
     """Full component exploration from s: parent map keyed by state bitmask,
     state -> previous state (None at s), in BFS discovery order."""
-    return _search(g, k, max_states, _to_mask(s))[1]
+    return _search(g, k, max_states, _to_mask(s))[1].seen
 
 
 def reachable_configs(g, c, k, max_states=DEFAULT_STATE_CAP):
@@ -278,27 +343,71 @@ def _check_pair(g, s, t, k):
 def decide(g, s, t, k, max_states=DEFAULT_STATE_CAP):
     """Reachability of t from s in the k-Jump transition graph."""
     _check_pair(g, s, t, k)
-    met, _ = _search(g, k, max_states, _to_mask(s), _to_mask(t), both=True)
-    return met is not None
+    meets, _, _ = _search(g, k, max_states, _to_mask(s), _to_mask(t))
+    return bool(meets)
 
 
 def shortest(g, s, t, k, max_states=DEFAULT_STATE_CAP):
     """A minimum-length valid sequence from s to t, or None if unreachable.
-    One-directional, so ties break towards the lowest (src, dst) move first."""
+
+    The sequence is the one a one-directional BFS from s returns: moves are
+    tried in ascending (src, dst) order and each state keeps the parent that
+    discovered it first. It is found from both ends: see _cone_path."""
     _check_pair(g, s, t, k)
     s = frozenset(s)
     smask, tmask = _to_mask(s), _to_mask(t)
-    met, parents = _search(g, k, max_states, smask, tmask)
-    if met is None:
+    if smask == tmask:
+        return MoveSequence(s, (), k)
+    meets, fwd, bwd = _search(g, k, max_states, smask, tmask, whole_level=True)
+    if not meets:
         return None
-    moves = []
-    cur = tmask
-    while cur != smask:
-        prev = parents[cur]
-        moves.append(_move(prev, cur))
-        cur = prev
-    moves.reverse()
-    return MoveSequence(s, tuple(moves), k)
+    path = _cone_path(g, k, meets, fwd, bwd)
+    return MoveSequence(s, tuple(map(_move, path, path[1:])), k)
+
+
+def _cone_path(g, k, meets, fwd, bwd):
+    """The states of the one-directional BFS path from s to t, given a
+    bidirectional search that stopped at the end of the first level where
+    the sides met, with `meets` all the meeting states of that level.
+
+    With forward levels F_0..F_a and backward levels B_0..B_b complete and
+    disjoint, the distance is d = a + b + 1, and the meeting states are the
+    layer P_m of the cone P_i = {ds = i, dt = d - i}: m = a if the backward
+    side found them in F_a, m = a + 1 if the forward side found them in B_b.
+    P_{i-1} is the set of neighbours of P_i in F_{i-1}; for i > m, P_i is
+    the set of neighbours of P_{i-1} in B_{d-i}. A neighbour at level i - 1
+    of a cone state at level i is in the cone, so replaying the BFS from s
+    on the cone alone gives each cone state the first discoverer it has in
+    the full BFS, and the same path to t."""
+    a, b = len(fwd.levels) - 1, len(bwd.levels) - 1
+    d = a + b + 1
+    m = a if meets[0] in fwd.seen else a + 1
+    succ = _successor_fn(g, k)
+    # allowed[i] holds P_i; for i > m, B_{d-i}, of which the replay only
+    # reaches the neighbours of P_{i-1}
+    allowed = [None] * (d + 1)
+    allowed[m] = set(meets)
+    for i in range(m - 1, 0, -1):
+        level = set(fwd.levels[i])
+        allowed[i] = {p for x in allowed[i + 1] for p in succ(x) if p in level}
+    for i in range(m + 1, d + 1):
+        allowed[i] = set(bwd.levels[d - i])
+    smask = fwd.levels[0][0]
+    parent = {smask: None}
+    layer = [smask]
+    for i in range(1, d + 1):
+        nxt_layer = []
+        for cur in layer:
+            for nxt in succ(cur):
+                if nxt in allowed[i] and nxt not in parent:
+                    parent[nxt] = cur
+                    nxt_layer.append(nxt)
+        layer = nxt_layer
+    path = [bwd.levels[0][0]]
+    while path[-1] != smask:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
 
 
 def exists_within(g, s, t, k, budget, max_states=DEFAULT_STATE_CAP):
@@ -306,10 +415,8 @@ def exists_within(g, s, t, k, budget, max_states=DEFAULT_STATE_CAP):
     _check_pair(g, s, t, k)
     if budget < 0:
         raise GraphError("move budget must be nonnegative")
-    met, _ = _search(
-        g, k, max_states, _to_mask(s), _to_mask(t), both=True, budget=budget
-    )
-    return met is not None
+    meets, _, _ = _search(g, k, max_states, _to_mask(s), _to_mask(t), budget=budget)
+    return bool(meets)
 
 
 def validate_sequence(g, seq, k=None):
@@ -350,6 +457,31 @@ def validate_sequence(g, seq, k=None):
 _UNREACHABLE = 10**9
 
 
+def _level_hits(g, u, targets):
+    """Yield (d, hit) for every BFS level d from u that holds targets: hit is
+    the mask of the targets at distance exactly d. Each level is the OR of
+    the adjacency masks of the one before; the walk stops once every target
+    is hit or the component of u is exhausted."""
+    adj = g.adj_mask
+    seen = front = 1 << u
+    d = 0
+    while front:
+        hit = front & targets
+        if hit:
+            yield d, hit
+            targets ^= hit
+            if not targets:
+                return
+        nb = 0
+        while front:
+            low = front & -front
+            nb |= adj[low.bit_length() - 1]
+            front ^= low
+        front = nb & ~seen
+        seen |= front
+        d += 1
+
+
 def lower_bound_moves(g, s, t, k):
     """Minimum-cost perfect matching between start and target vertices with
     per-pair cost ceil(dist / k); a valid lower bound on sequence length since
@@ -360,12 +492,16 @@ def lower_bound_moves(g, s, t, k):
     r = len(svs)
     if r == 0:
         return 0
-    cost = np.empty((r, r), dtype=np.int64)
-    for i, u in enumerate(svs):
-        row = _dist_row(g, u)
-        for j, v in enumerate(tvs):
-            d = row[v]
-            cost[i, j] = _UNREACHABLE if d is None else -(-d // k)
+    col = {v: j for j, v in enumerate(tvs)}
+    tmask = _to_mask(tvs)
+    table = []
+    for u in svs:
+        row = [_UNREACHABLE] * r
+        for d, hit in _level_hits(g, u, tmask):
+            for v in _bits(hit):
+                row[col[v]] = -(-d // k)
+        table.append(row)
+    cost = np.array(table, dtype=np.int64)
     rows, cols = linear_sum_assignment(cost)
     total = int(cost[rows, cols].sum())
     if total >= _UNREACHABLE:

@@ -237,29 +237,46 @@ def _degree_partition(g):
     return set(order[:h]), set(order[h:])
 
 
+def _low_bit(m):
+    return (m & -m).bit_length() - 1
+
+
 def _find_obstruction(g):
-    """Locate an induced 2K2, C4 or C5 in a non-split graph."""
-    edges = sorted(g.edges)
-    # C4: two non-adjacent vertices with two non-adjacent common neighbors.
+    """Locate an induced 2K2, C4 or C5 in a non-split graph.
+
+    C4: for u < v non-adjacent, in ascending order, with a, b ascending in
+    C = N(u) & N(v), the first a that has a non-neighbour b > a in C gives
+    (u, a, v, b); only the v that share a neighbour with u are tried. 2K2:
+    for the edges (a, b) in sorted order, the first later edge (c, d) with
+    both ends outside N[a] | N[b]. C5: a brute-force fallback, since a graph
+    with neither of the others that is not split contains one."""
+    adj = g.adj_mask
     for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.has_edge(u, v):
-                continue
-            common = [w for w in g.adj[u] if v in set(g.adj[w])]
-            for i in range(len(common)):
-                for j in range(i + 1, len(common)):
-                    a, b = common[i], common[j]
-                    if not g.has_edge(a, b):
-                        return ("C4", (u, a, v, b))
-    # 2K2: two edges with no connecting edge.
-    for i in range(len(edges)):
-        a, b = edges[i]
-        for j in range(i + 1, len(edges)):
-            c, d = edges[j]
-            if len({a, b, c, d}) < 4:
-                continue
-            if not any(g.has_edge(x, y) for x in (a, b) for y in (c, d)):
-                return ("2K2", (a, b, c, d))
+        au = adj[u]
+        reach = 0
+        for w in g.adj[u]:
+            reach |= adj[w]
+        vs = reach & ~au & ~((2 << u) - 1)
+        while vs:
+            v = _low_bit(vs)
+            vs &= vs - 1
+            common = au & adj[v]
+            while common:
+                a = _low_bit(common)
+                common &= common - 1
+                rest = common & ~adj[a]
+                if rest:
+                    return ("C4", (u, a, v, _low_bit(rest)))
+    for a, b in sorted(g.edges):
+        # vertices above a outside N[a] | N[b]
+        free = ~(adj[a] | adj[b] | (2 << a) - 1)
+        cs = free & ((1 << g.n) - 1)
+        while cs:
+            c = _low_bit(cs)
+            cs &= cs - 1
+            ds = adj[c] & free & ~((2 << c) - 1)
+            if ds:
+                return ("2K2", (a, b, c, _low_bit(ds)))
     # C5: brute force over 5-cycles.
     from itertools import combinations
 

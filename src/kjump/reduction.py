@@ -42,14 +42,14 @@ class CnfFormula:
     clauses: tuple
 
     def satisfies(self, assignment):
-        if len(assignment) != self.num_vars:
-            raise CnfError("assignment length mismatch")
-        for clause in self.clauses:
-            if not any(assignment[v] == pos for v, pos in clause):
-                return False
-        return True
+        return self.violated_clause(assignment) is None
 
     def violated_clause(self, assignment):
+        if len(assignment) != self.num_vars:
+            raise CnfError(
+                f"assignment length mismatch: {len(assignment)} values"
+                f" for {self.num_vars} variables"
+            )
         for idx, clause in enumerate(self.clauses):
             if not any(assignment[v] == pos for v, pos in clause):
                 return idx

@@ -2,7 +2,10 @@
 
 Everything in here is deliberately naive: frozenset BFS, brute-force subset
 scans, exhaustive partition enumeration. None of it shares search code with
-the package, so it can arbitrate expected values in the tests.
+the package, so it can arbitrate expected values in the tests. The one
+exception is naive_search, the oracle's earlier search loop: it draws
+successors from `engine._successor_fn`, which is itself checked against
+naive_successors, and it fixes the discovery order the current loop keeps.
 """
 
 import itertools
@@ -10,6 +13,7 @@ import random
 from collections import deque
 from functools import lru_cache
 
+from kjump.engine import ResourceExhausted, _successor_fn
 from kjump.graph import Graph, build_graph
 
 
@@ -186,6 +190,106 @@ def naive_validate(g, start, moves, k):
         if not naive_is_independent(g, cur):
             return False, i, f"set not independent after moving {src} to {dst}"
     return True, None, None
+
+
+def naive_search(g, k, max_states, smask, tmask=None, both=False, budget=None):
+    """The oracle's search loop as it was before its hub cache and the
+    bidirectional `shortest`, kept verbatim as the reference for both.
+
+    The search loop: breadth-first from smask, one level at a time, until
+    tmask is met, `budget` levels are spent or the component is exhausted.
+    With both=True a second search grows from tmask as well and each level
+    expands the smaller frontier; k-Jump moves are reversible, so the two
+    meet on a shortest path. The cap counts the states of both sides.
+
+    Returns (met, parents): the state where the search reached tmask (None
+    if it did not) and the forward parent map, state -> previous state
+    (None at smask), in discovery order."""
+    fwd = {smask: None}
+    if smask == tmask:
+        return smask, fwd
+    bwd = {} if tmask is None else {tmask: None}
+    sides = [[fwd, [smask], bwd]]
+    if both:
+        sides.append([bwd, [tmask], fwd])
+    succ = _successor_fn(g, k)
+    held = len(fwd) + len(bwd)
+    levels = 0
+    while budget is None or levels < budget:
+        side = min(sides, key=lambda sd: len(sd[1]))
+        seen, frontier, other = side
+        nxt_front = []
+        for cur in frontier:
+            for nxt in succ(cur):
+                if nxt in seen:
+                    continue
+                if nxt in other:
+                    seen[nxt] = cur
+                    return nxt, fwd
+                if held >= max_states:
+                    raise ResourceExhausted(
+                        max_states, held, levels, sum(len(sd[1]) for sd in sides)
+                    )
+                held += 1
+                seen[nxt] = cur
+                nxt_front.append(nxt)
+        if not nxt_front:
+            break
+        side[1] = nxt_front
+        levels += 1
+    return None, fwd
+
+
+def naive_shortest_moves(g, s, t, k):
+    """The moves of `engine.shortest` as it was when one-directional: the
+    path to t in naive_search's parent map, or None if unreachable."""
+    smask, tmask = sum(1 << v for v in s), sum(1 << v for v in t)
+    met, parents = naive_search(g, k, 10**7, smask, tmask)
+    if met is None:
+        return None
+    moves = []
+    cur = tmask
+    while cur != smask:
+        prev = parents[cur]
+        moves.append(((prev & ~cur).bit_length() - 1, (cur & ~prev).bit_length() - 1))
+        cur = prev
+    return tuple(reversed(moves))
+
+
+def naive_find_obstruction(g):
+    """Locate an induced 2K2, C4 or C5 in a non-split graph: the pair-and-edge
+    scan `graph._find_obstruction` replaced, kept verbatim as its reference."""
+    edges = sorted(g.edges)
+    # C4: two non-adjacent vertices with two non-adjacent common neighbors.
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if g.has_edge(u, v):
+                continue
+            common = [w for w in g.adj[u] if v in set(g.adj[w])]
+            for i in range(len(common)):
+                for j in range(i + 1, len(common)):
+                    a, b = common[i], common[j]
+                    if not g.has_edge(a, b):
+                        return ("C4", (u, a, v, b))
+    # 2K2: two edges with no connecting edge.
+    for i in range(len(edges)):
+        a, b = edges[i]
+        for j in range(i + 1, len(edges)):
+            c, d = edges[j]
+            if len({a, b, c, d}) < 4:
+                continue
+            if not any(g.has_edge(x, y) for x in (a, b) for y in (c, d)):
+                return ("2K2", (a, b, c, d))
+    # C5: brute force over 5-cycles.
+    from itertools import combinations
+
+    for vs in combinations(range(g.n), 5):
+        sub = [(x, y) for x, y in combinations(vs, 2) if g.has_edge(x, y)]
+        if len(sub) != 5:
+            continue
+        if all(sum(1 for e in sub if v in e) == 2 for v in vs):
+            return ("C5", vs)
+    return None
 
 
 def naive_chordal(g):

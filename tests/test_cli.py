@@ -4,9 +4,12 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kjump import engine, reduction
 from kjump.cli import run
@@ -181,6 +184,10 @@ def test_witness_rejects_bad_bits(tmp_path, capsys):
     assert code == 2
     code, _ = run_json(capsys, ["witness", inst_file, "--assignment", "001"])
     assert code == 2  # does not satisfy the clause
+    for bits in ("", "10", "1000"):  # one value per variable, no more, no less
+        code = run(["witness", inst_file, "--assignment", bits])
+        err = capsys.readouterr().err
+        assert code == 2 and "length mismatch" in json.loads(err)["error"]
 
 
 def test_verify_reports_offending_step(tmp_path, capsys):
@@ -440,3 +447,118 @@ def test_golden_recognize_output(tmp_path):
         for name, g in golden_graphs().items()
     }
     assert got == GOLDEN_RECOGNIZE
+
+
+# ---------------------------------------------------------------------------
+# fuzzed JSON input: any document in any file slot ends with exit 0, 2 or 3
+# and JSON on stderr, never a traceback
+
+_FUZZ_KEYS = (
+    "n", "edges", "labels", "graph", "start", "target", "k", "moves",
+    "labelMap", "formula", "numVars", "clauses", "0", "1",
+)
+# Small numbers keep every graph and state space small, so that no example
+# builds a huge adjacency table or searches for long.
+_fuzz_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-3, max_value=12)
+    | st.floats(min_value=-3, max_value=12, allow_nan=False)
+    | st.text(max_size=3)
+)
+_fuzz_json = st.recursive(
+    _fuzz_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(_FUZZ_KEYS) | st.text(max_size=3), inner, max_size=4
+    ),
+    max_leaves=10,
+)
+
+
+@st.composite
+def _mutated(draw, base):
+    """base with one to three fields replaced by random JSON or deleted. Each
+    edit walks down from the top, picking a key at every level, so a field
+    deep in the document is as likely a target as a long list's items."""
+    doc = json.loads(json.dumps(base))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        parent = doc
+        while True:
+            keys = list(parent) if isinstance(parent, dict) else range(len(parent))
+            if not keys:
+                break
+            key = draw(st.sampled_from(keys))
+            child = parent[key]
+            if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+                parent = child
+                continue
+            if draw(st.booleans()):
+                parent[key] = draw(_fuzz_json)
+            else:
+                del parent[key]
+            break
+    return doc
+
+
+def _fuzz_bases():
+    reduced = _reduced_instance()
+    phi = reduction.parse_e3cnf("p cnf 3 1\n1 2 -3 0\n")
+    inst = reduction.build_instance(phi, 3)
+    witness = engine.sequence_to_json(
+        reduction.assignment_to_sequence(inst, (True, False, False))
+    )
+    return {
+        "graph": GOOD_GRAPH,
+        "instance": GOOD_INSTANCE,
+        "sequence": GOOD_SEQUENCE,
+        "reduced": reduced,
+        "witness": witness,
+    }
+
+
+# (subcommand, its file slots as base documents, strategy for the other
+# arguments); the fuzzed document goes into one slot, the others stay valid
+_fuzz_k = st.integers(min_value=-1, max_value=5).map(lambda k: ["--k", str(k)])
+_FUZZ_COMMANDS = [
+    ("recognize", ["graph"], st.just([])),
+    ("decide", ["instance"], st.just([])),
+    ("shortest", ["instance"], st.just([])),
+    ("decide2", ["instance"], st.just([])),
+    ("simulate", ["graph", "sequence"], _fuzz_k),
+    ("reduce", ["instance"], _fuzz_k),
+    (
+        "witness",
+        ["reduced"],
+        st.text("01", max_size=5).map(lambda bits: ["--assignment", bits]),
+    ),
+    ("extract", ["reduced", "witness"], st.just([])),
+    ("verify", ["instance", "sequence"], st.just([])),
+    ("stats", ["reduced"], st.just([])),
+]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_fuzzed_json_input_exits_cleanly(data):
+    command, slots, args = data.draw(st.sampled_from(_FUZZ_COMMANDS))
+    extra = data.draw(args)
+    bases = _fuzz_bases()
+    target = data.draw(st.integers(min_value=0, max_value=len(slots) - 1))
+    docs = [bases[slot] for slot in slots]
+    docs[target] = data.draw(_fuzz_json | _mutated(bases[slots[target]]))
+    with tempfile.TemporaryDirectory() as tmp:
+        files = []
+        for i, doc in enumerate(docs):
+            path = os.path.join(tmp, f"{i}.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            files.append(path)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([command, *files, *extra])
+    assert code in (0, 2, 3)
+    for line in err.getvalue().splitlines():
+        json.loads(line)
+    if code == 0:
+        json.loads(out.getvalue())

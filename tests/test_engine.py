@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import random
 import re
@@ -25,13 +26,16 @@ from kjump.engine import (
 from kjump.graph import GraphError, build_graph, diameter
 
 from conftest import (
+    atlas_graphs,
     cycle_graph,
     independent_sets,
     naive_decide,
     naive_dist,
     naive_is_independent,
     naive_reachable,
+    naive_search,
     naive_shortest_len,
+    naive_shortest_moves,
     naive_successors,
     naive_validate,
     path_graph,
@@ -42,6 +46,19 @@ from conftest import (
 
 def seq(start, moves, k):
     return MoveSequence(frozenset(start), tuple(Move(a, b) for a, b in moves), k)
+
+
+def _disjoint_union(a, b):
+    edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
+    return build_graph(a.n + b.n, edges)
+
+
+def _with_isolated(g, count):
+    """g with `count` isolated vertices at seeded places among its ids."""
+    n = g.n + count
+    iso = set(random.Random(n * 101 + len(g.edges)).sample(range(n), count))
+    ids = [v for v in range(n) if v not in iso]
+    return build_graph(n, [(ids[u], ids[v]) for u, v in g.edges])
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +335,141 @@ def test_lower_bound_below_optimum():
                 assert bound is not None and bound <= opt
 
 
+def _naive_lower_bound(g, s, t, k):
+    """Brute force over every matching, with ceil(naive_dist / k) costs;
+    None when every matching pairs some token with an unreachable target."""
+    svs, tvs = sorted(s), sorted(t)
+    best = None
+    for perm in itertools.permutations(tvs):
+        ds = [naive_dist(g, u, v) for u, v in zip(svs, perm)]
+        if None not in ds:
+            total = sum(-(-d // k) for d in ds)
+            best = total if best is None else min(best, total)
+    return best
+
+
+def test_lower_bound_matches_naive_costs():
+    # connected graphs, disjoint unions of two and graphs with isolated
+    # vertices, so that some pairs can only be matched across components
+    graphs = random_graphs(20, 9, seed=89)
+    halves = random_graphs(20, 5, seed=90)
+    graphs += [_disjoint_union(a, b) for a, b in zip(halves[::2], halves[1::2])]
+    graphs += [_with_isolated(g, 2) for g in random_graphs(10, 6, seed=91)]
+    unbounded = bounded = 0
+    for g in graphs:
+        sets = independent_sets(g, 4)
+        rng = random.Random(g.n * 13 + len(g.edges))
+        for _ in range(10):
+            s, t = rng.choice(sets), rng.choice(sets)
+            if len(s) != len(t):
+                continue
+            for k in (1, 2, 3):
+                want = _naive_lower_bound(g, s, t, k)
+                assert lower_bound_moves(g, s, t, k) == want
+                unbounded += want is None
+                bounded += want is not None
+    assert unbounded >= 40 and bounded >= 400
+
+
+# ---------------------------------------------------------------------------
+# the hub-cached search and the cone `shortest` against the earlier loop
+
+def _max_finite_dist(g):
+    return max(
+        [naive_dist(g, u, v) or 0 for u in range(g.n) for v in range(u + 1, g.n)]
+        or [0]
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _search_corpus():
+    """(graph, independent sets up to 3 tokens, k values) for every atlas
+    graph with 2 to 7 vertices, random graphs with isolated vertices and
+    disjoint unions of two random graphs; k runs over 1, 2, 3, D and D + 1,
+    D the largest finite distance."""
+    graphs = [g for g in atlas_graphs(7) if g.n >= 2]
+    graphs += [_with_isolated(g, 1 + g.n % 3) for g in random_graphs(40, 8, seed=141)]
+    halves = random_graphs(40, 5, seed=143)
+    graphs += [_disjoint_union(a, b) for a, b in zip(halves[::2], halves[1::2])]
+    out = []
+    for g in graphs:
+        diam = max(1, _max_finite_dist(g))
+        ks = sorted({1, 2, 3, diam, diam + 1})
+        out.append((g, [c for c in independent_sets(g, 3) if c], ks))
+    return out
+
+
+def _mask(c):
+    return sum(1 << v for v in c)
+
+
+def test_explore_parent_map_matches_naive_search():
+    compared = 0
+    for g, sets, ks in _search_corpus():
+        rng = random.Random(g.n * 7 + len(g.edges))
+        for c in rng.sample(sets, min(3, len(sets))):
+            for k in ks:
+                got = list(engine._explore(g, c, k, 10**7).items())
+                _, want = naive_search(g, k, 10**7, _mask(c))
+                assert got == list(want.items())
+                compared += 1
+    assert compared >= 12000
+
+
+def test_shortest_moves_match_naive_one_directional():
+    compared = unreachable = 0
+    meet_in_fwd = meet_in_bwd = wide_meets = 0
+    for g, sets, ks in _search_corpus():
+        rng = random.Random(g.n * 11 + len(g.edges))
+        for _ in range(4):
+            s, t = rng.choice(sets), rng.choice(sets)
+            if len(s) != len(t):
+                continue
+            for k in ks:
+                got = shortest(g, s, t, k)
+                want = naive_shortest_moves(g, s, t, k)
+                if want is None:
+                    assert got is None
+                    unreachable += 1
+                    continue
+                assert tuple((m.src, m.dst) for m in got.moves) == want
+                compared += 1
+                if s != t:
+                    meets, fwd, _ = engine._search(
+                        g, k, 10**7, _mask(s), _mask(t), whole_level=True
+                    )
+                    meet_in_fwd += meets[0] in fwd.seen
+                    meet_in_bwd += meets[0] not in fwd.seen
+                    wide_meets += len(meets) > 1
+    # both sides must have found meeting layers, some of several states
+    assert compared >= 4000 and unreachable >= 700
+    assert meet_in_fwd >= 1000 and meet_in_bwd >= 2500 and wide_meets >= 600
+
+
+def test_reachable_configs_cap_matches_naive_search():
+    raised = finished = 0
+    for g, sets, ks in _search_corpus()[::5]:
+        rng = random.Random(g.n * 3 + len(g.edges))
+        c = rng.choice(sets)
+        for k in ks:
+            for cap in range(1, 21):
+                try:
+                    naive_search(g, k, cap, _mask(c))
+                except ResourceExhausted as exc:
+                    want = (exc.states, exc.depth, exc.frontier)
+                else:
+                    want = None
+                try:
+                    reachable_configs(g, c, k, max_states=cap)
+                except ResourceExhausted as exc:
+                    assert (exc.states, exc.depth, exc.frontier) == want
+                    raised += 1
+                else:
+                    assert want is None
+                    finished += 1
+    assert raised >= 5000 and finished >= 12000
+
+
 # ---------------------------------------------------------------------------
 # exploration, resource guard, serialization
 
@@ -377,11 +529,6 @@ def test_every_search_rejects_k_below_one(k):
 
 # ---------------------------------------------------------------------------
 # the bitmask search core against plain references
-
-def _disjoint_union(a, b):
-    edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
-    return build_graph(a.n + b.n, edges)
-
 
 def _mixed_graphs(seed):
     """Connected random graphs, plus disjoint unions of two, so that some

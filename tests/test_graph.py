@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from kjump.graph import (
     GraphError,
     NotSplitError,
+    _degree_partition,
+    _find_obstruction,
     build_graph,
     diameter,
     dist,
@@ -36,6 +38,7 @@ from conftest import (
     naive_chordal,
     naive_diameter,
     naive_dist,
+    naive_find_obstruction,
     naive_is_peo,
     naive_lex_bfs,
     path_graph,
@@ -277,6 +280,36 @@ def test_recognition_agrees_with_forbidden_subgraph_check():
                 assert g.has_edge(a, b)
             covered = [v for c in dec.clusters for v in c.u_side]
             assert sorted(covered) == sorted(dec.indep_part)
+
+
+def test_find_obstruction_matches_naive_scan():
+    # the same first witness as the pair-and-edge scan it replaced, on every
+    # non-split atlas graph, on 500 random non-split graphs and on reduction
+    # instances
+    kinds = collections.Counter()
+    for g in atlas_graphs(7):
+        if _degree_partition(g) is None:
+            assert _find_obstruction(g) == naive_find_obstruction(g)
+            kinds["atlas"] += 1
+    rng = random.Random(151)
+    while kinds["random"] < 500:
+        n = rng.randint(4, 16)
+        p = rng.random()
+        g = build_graph(
+            n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        )
+        if _degree_partition(g) is not None:
+            continue
+        witness = _find_obstruction(g)
+        assert witness == naive_find_obstruction(g)
+        kinds["random"] += 1
+        kinds[witness[0]] += 1
+    for phi in exhaustive_e3_formulas()[::400]:
+        g = build_instance(phi, 3).graph  # chordal: no C4, so the 2K2 scan runs
+        assert _find_obstruction(g) == naive_find_obstruction(g)
+        kinds["reduction"] += 1
+    assert kinds["atlas"] == 995 and kinds["reduction"] == 14
+    assert kinds["C4"] >= 300 and kinds["2K2"] >= 50
 
 
 # ---------------------------------------------------------------------------
