@@ -457,31 +457,6 @@ def validate_sequence(g, seq, k=None):
 _UNREACHABLE = 10**9
 
 
-def _level_hits(g, u, targets):
-    """Yield (d, hit) for every BFS level d from u that holds targets: hit is
-    the mask of the targets at distance exactly d. Each level is the OR of
-    the adjacency masks of the one before; the walk stops once every target
-    is hit or the component of u is exhausted."""
-    adj = g.adj_mask
-    seen = front = 1 << u
-    d = 0
-    while front:
-        hit = front & targets
-        if hit:
-            yield d, hit
-            targets ^= hit
-            if not targets:
-                return
-        nb = 0
-        while front:
-            low = front & -front
-            nb |= adj[low.bit_length() - 1]
-            front ^= low
-        front = nb & ~seen
-        seen |= front
-        d += 1
-
-
 def lower_bound_moves(g, s, t, k):
     """Minimum-cost perfect matching between start and target vertices with
     per-pair cost ceil(dist / k); a valid lower bound on sequence length since
@@ -492,14 +467,35 @@ def lower_bound_moves(g, s, t, k):
     r = len(svs)
     if r == 0:
         return 0
+    # cost rows by bitmask BFS from each start vertex: a level is the OR of
+    # the adjacency masks of the one before, and a row stops growing once
+    # every target is hit or the component is exhausted
+    adj = g.adj_mask
     col = {v: j for j, v in enumerate(tvs)}
     tmask = _to_mask(tvs)
     table = []
     for u in svs:
         row = [_UNREACHABLE] * r
-        for d, hit in _level_hits(g, u, tmask):
-            for v in _bits(hit):
-                row[col[v]] = -(-d // k)
+        seen = front = 1 << u
+        left = tmask
+        d = 0
+        while front:
+            hit = front & left
+            if hit:
+                c = -(-d // k)
+                for v in _bits(hit):
+                    row[col[v]] = c
+                left ^= hit
+                if not left:
+                    break
+            nb = 0
+            while front:
+                low = front & -front
+                nb |= adj[low.bit_length() - 1]
+                front ^= low
+            front = nb & ~seen
+            seen |= front
+            d += 1
         table.append(row)
     cost = np.array(table, dtype=np.int64)
     rows, cols = linear_sum_assignment(cost)

@@ -349,9 +349,11 @@ def _naive_lower_bound(g, s, t, k):
 
 
 def test_lower_bound_matches_naive_costs():
-    # connected graphs, disjoint unions of two and graphs with isolated
+    # connected graphs (long paths and cycles among them, so that distances
+    # reach several levels), disjoint unions of two and graphs with isolated
     # vertices, so that some pairs can only be matched across components
-    graphs = random_graphs(20, 9, seed=89)
+    graphs = random_graphs(20, 9, seed=89) + random_graphs(10, 14, seed=92)
+    graphs += [path_graph(12), cycle_graph(13)]
     halves = random_graphs(20, 5, seed=90)
     graphs += [_disjoint_union(a, b) for a, b in zip(halves[::2], halves[1::2])]
     graphs += [_with_isolated(g, 2) for g in random_graphs(10, 6, seed=91)]
