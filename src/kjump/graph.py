@@ -107,36 +107,6 @@ def dist(g, u, v):
     return _dist_row(g, u)[v]
 
 
-def shortest_path(g, u, v):
-    """One shortest u-v path, or None.
-
-    Parents are chosen deterministically: BFS scans neighbors in ascending
-    order, and each vertex keeps the parent that discovered it, which is the
-    first-discovered of its neighbors at the previous level (not necessarily
-    the lowest-id one).
-    """
-    if u == v:
-        return [u]
-    parent = [None] * g.n
-    seen = [False] * g.n
-    seen[u] = True
-    q = deque([u])
-    while q:
-        x = q.popleft()
-        for w in g.adj[x]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = x
-                if w == v:
-                    path = [v]
-                    while path[-1] != u:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path
-                q.append(w)
-    return None
-
-
 def is_connected(g):
     if g.n <= 1:
         return True

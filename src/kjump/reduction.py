@@ -19,7 +19,6 @@ from .graph import (
     GraphError,
     build_graph,
     diameter,
-    find_peo,
     graph_from_json,
     json_int,
     json_ints,
@@ -298,8 +297,10 @@ def instance_stats(inst):
         diam = diameter(g)
     except GraphError:  # empty or disconnected
         diam = None
-    order = peo_order(inst)
-    chordal = verify_peo(g, order) and find_peo(g) is not None
+    # verify_peo raises unless the order is a permutation of the vertices,
+    # so True means g has a perfect elimination ordering: g is chordal, and
+    # find_peo's LexBFS could not fail on it. False is final either way.
+    chordal = verify_peo(g, peo_order(inst))
     bound = lower_bound_moves(g, inst.start, inst.target, inst.k)
     return InstanceStats(g.n, len(inst.start), diam, chordal, bound)
 

@@ -10,7 +10,9 @@ continues into u'.
 
 from __future__ import annotations
 
-from .graph import GraphError, is_independent, shortest_path
+from collections import deque
+
+from .graph import GraphError, is_independent
 from .engine import (
     Move,
     MoveSequence,
@@ -34,14 +36,32 @@ def _step(g, cur, u, v, k, out):
 
     Iterative: the free case first brings the token to w and then jumps
     w -> v, so that final jump waits on a stack while the token travels; the
-    blocked case hands the rest of the trip (u -> u') over to the loop."""
+    blocked case hands the rest of the trip (u -> u') over to the loop.
+
+    u stays fixed, so every iteration reads its shortest u-v path from one
+    BFS parent tree rooted at u, grown only until the current v is
+    discovered. Neighbours are scanned in ascending order and each vertex
+    keeps its first discoverer, so a parent never depends on where the BFS
+    stops, and the path is the one a fresh BFS from u to v would give; w is
+    the (k-1)-th ancestor of v on it."""
     adj = g.adj_mask
+    ball = _cached_ball(g, u, k)
+    parent = [-1] * g.n
+    parent[u] = u
+    queue = deque([u])
     pending = []  # final jumps (w, v), the innermost last
-    while not _cached_ball(g, u, k) >> v & 1:
-        path = shortest_path(g, u, v)
-        if path is None:
+    while not ball >> v & 1:
+        while parent[v] < 0 and queue:
+            x = queue.popleft()
+            for y in g.adj[x]:
+                if parent[y] < 0:
+                    parent[y] = x
+                    queue.append(y)
+        if parent[v] < 0:
             raise GraphError(f"{u} cannot reach {v}")
-        w = path[len(path) - k]
+        w = v
+        for _ in range(k - 1):
+            w = parent[w]
         occupied = cur >> w & 1
         near = adj[w] & cur
         if not occupied and not near:

@@ -66,6 +66,37 @@ def naive_dist(g, u, v):
     return None
 
 
+def naive_shortest_path(g, u, v):
+    """One shortest u-v path, or None, by a BFS that stops once v is found;
+    `simulate._step` reads the same paths from one parent tree per call.
+
+    Parents are chosen deterministically: BFS scans neighbors in ascending
+    order, and each vertex keeps the parent that discovered it, which is the
+    first-discovered of its neighbors at the previous level (not necessarily
+    the lowest-id one).
+    """
+    if u == v:
+        return [u]
+    parent = [None] * g.n
+    seen = [False] * g.n
+    seen[u] = True
+    q = deque([u])
+    while q:
+        x = q.popleft()
+        for w in g.adj[x]:
+            if not seen[w]:
+                seen[w] = True
+                parent[w] = x
+                if w == v:
+                    path = [v]
+                    while path[-1] != u:
+                        path.append(parent[path[-1]])
+                    path.reverse()
+                    return path
+                q.append(w)
+    return None
+
+
 def naive_is_independent(g, s):
     return all(not g.has_edge(a, b) for a, b in itertools.combinations(s, 2))
 

@@ -6,11 +6,14 @@ import itertools
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kjump
 from kjump import engine, reduction
 from kjump.cli import run
 from kjump.graph import build_graph, graph_to_json
@@ -285,6 +288,24 @@ def test_simulate_long_path_needs_no_recursion(tmp_path, capsys):
     sim = engine.sequence_from_json(out["sequence"])
     assert engine.validate_sequence(g, sim, 3)
     assert sim.final() == {2499} and len(sim) == out["length"] == 1249
+
+
+def test_package_loads_neither_numpy_nor_scipy():
+    # the package has no runtime dependencies; loading scipy.optimize alone
+    # used to be most of every process's start-up time and memory
+    src = os.path.dirname(os.path.dirname(kjump.__file__))
+    code = (
+        "import sys, kjump, kjump.cli;"
+        " print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_stdin_input(tmp_path, capsys, monkeypatch):

