@@ -46,18 +46,17 @@ def _step(g, cur, u, v, k, out):
     the (k-1)-th ancestor of v on it."""
     adj = g.adj_mask
     ball = _cached_ball(g, u, k)
-    parent = [-1] * g.n
-    parent[u] = u
+    parent = {u: u}
     queue = deque([u])
     pending = []  # final jumps (w, v), the innermost last
     while not ball >> v & 1:
-        while parent[v] < 0 and queue:
+        while v not in parent and queue:
             x = queue.popleft()
             for y in g.adj[x]:
-                if parent[y] < 0:
+                if y not in parent:
                     parent[y] = x
                     queue.append(y)
-        if parent[v] < 0:
+        if v not in parent:
             raise GraphError(f"{u} cannot reach {v}")
         w = v
         for _ in range(k - 1):
