@@ -57,7 +57,7 @@ def _emit(payload):
 
 def _cmd_recognize(args):
     g = _load_graph(args.graph, args.format)
-    report = {"n": g.n, "edges": len(g.edges), "connected": is_connected(g)}
+    report = {"n": g.n, "edges": g.m, "connected": is_connected(g)}
     try:
         dec = recognize_split(g)
         report["split"] = True

@@ -11,6 +11,9 @@ from typing import NamedTuple
 
 from .graph import (
     GraphError,
+    _bits,
+    _neighbourhood,
+    _to_mask,
     dist,
     is_independent,
     json_int,
@@ -70,23 +73,6 @@ class ValidationReport:
         return self.ok
 
 
-def _to_mask(vs):
-    m = 0
-    for v in vs:
-        m |= 1 << v
-    return m
-
-
-def _bits(m):
-    """Set bit positions of m, ascending."""
-    out = []
-    while m:
-        low = m & -m
-        out.append(low.bit_length() - 1)
-        m ^= low
-    return out
-
-
 def _from_mask(m):
     return frozenset(_bits(m))
 
@@ -118,8 +104,7 @@ def k_adjacent(g, a, b, k):
         return False
     (u,) = da
     (v,) = db
-    d = dist(g, u, v)
-    return d is not None and d <= k
+    return dist(g, u, v, k) is not None
 
 
 def _ball(g, u, k):
@@ -129,12 +114,7 @@ def _ball(g, u, k):
     seen = front = 1 << u
     depth = 0
     while front and depth < k:
-        nb = 0
-        while front:
-            low = front & -front
-            nb |= adj[low.bit_length() - 1]
-            front ^= low
-        front = nb & ~seen
+        front = _neighbourhood(adj, front) & ~seen
         seen |= front
         depth += 1
     return seen ^ (1 << u)
@@ -420,15 +400,18 @@ def validate_sequence(g, seq, k=None):
     """Replay a move sequence, checking occupancy, distance and independence
     at every step. Rejection is a value, not an exception.
 
-    A move passes the distance check when dst lies in src's k-ball; only a
-    failing move pays for `dist`, to name the distance. The set before a
-    move is independent, so the set after it is independent exactly when
-    N(dst) misses the tokens other than src."""
+    A move passes the distance check when dst lies in src's k-ball, if the
+    graph has that ball cached, and otherwise when the pair test dist(src,
+    dst) <= k holds, which caches nothing; only a failing move pays for the
+    full `dist`, to name the distance. The set before a move is independent,
+    so the set after it is independent exactly when N(dst) misses the tokens
+    other than src."""
     if k is None:
         k = seq.k
     if not is_independent(g, seq.start):
         return ValidationReport(False, None, "start set is not independent")
     adj = g.adj_mask
+    balls = g._balls.get(k)
     cur = _to_mask(seq.start)
     for i, (src, dst) in enumerate(seq.moves):
         if src == dst:
@@ -437,8 +420,14 @@ def validate_sequence(g, seq, k=None):
             return ValidationReport(False, i, f"no token on {src}")
         if dst >= 0 and cur >> dst & 1:
             return ValidationReport(False, i, f"vertex {dst} already occupied")
-        if dst < 0 or not _cached_ball(g, src, k) >> dst & 1:
-            d = dist(g, src, dst)  # raises GraphError for dst out of range
+        ball = balls[src] if balls else None
+        if ball is None or dst < 0:
+            # raises GraphError for dst out of range
+            near = dist(g, src, dst, k) is not None
+        else:
+            near = ball >> dst & 1
+        if not near:
+            d = dist(g, src, dst)
             if d is None:
                 return ValidationReport(False, i, f"{src} cannot reach {dst}")
             return ValidationReport(False, i, f"distance {d} exceeds bound {k}")
@@ -485,12 +474,7 @@ def lower_bound_moves(g, s, t, k):
                 left ^= hit
                 if not left:
                     break
-            nb = 0
-            while front:
-                low = front & -front
-                nb |= adj[low.bit_length() - 1]
-                front ^= low
-            front = nb & ~seen
+            front = _neighbourhood(adj, front) & ~seen
             seen |= front
             d += 1
         table.append(row)

@@ -1,12 +1,12 @@
-"""Simple undirected graphs plus the structural machinery the solvers need:
-BFS distances, split-graph recognition with a canonical partition, and
-perfect elimination orderings for chordality certificates.
+"""Simple undirected graphs stored as adjacency bitmasks, plus the
+structural machinery the solvers need: mask BFS distances and a limited
+pair test, split-graph recognition with a canonical partition, and perfect
+elimination orderings for chordality certificates.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 
 
@@ -22,48 +22,64 @@ class NotSplitError(GraphError):
         self.witness = witness
 
 
-_DIST_CACHE_LIMIT = 4096
-
-
 class Graph:
-    """Immutable simple undirected graph with vertex ids 0..n-1."""
+    """Immutable simple undirected graph with vertex ids 0..n-1.
 
-    __slots__ = ("n", "edges", "adj", "adj_mask", "labels", "_dist_table", "_balls")
+    The adjacency masks (bit w of adj_mask[v] set iff vw is an edge) are the
+    only structure built up front, and the kernels read them. The sorted
+    neighbour tuples `adj` and the edge set `edges` are built on first use,
+    in O(n + m) from the validated edge list, not from the masks: taking
+    the bits out of n-bit masks costs O(n) per edge on sparse graphs."""
+
+    __slots__ = ("n", "m", "adj_mask", "labels", "_pairs", "_adj", "_edges", "_balls")
 
     def __init__(self, n, edges, labels=None):
         self.n = n
-        seen = set()
-        adj = [[] for _ in range(n)]
-        for e in edges:
-            u, v = e
+        pairs = tuple(edges)
+        masks = [0] * n
+        for u, v in pairs:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge endpoint out of range: ({u}, {v})")
             if u == v:
                 raise GraphError(f"self-loop: ({u}, {v})")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
+            mu = masks[u]
+            if mu >> v & 1:
                 raise GraphError(f"duplicate edge: ({u}, {v})")
-            seen.add(key)
-            adj[u].append(v)
-            adj[v].append(u)
-        self.edges = frozenset(seen)
-        self.adj = tuple(tuple(sorted(ns)) for ns in adj)
-        self.adj_mask = tuple(sum(1 << w for w in ns) for ns in self.adj)
+            masks[u] = mu | 1 << v
+            masks[v] |= 1 << u
+        self.m = len(pairs)
+        self.adj_mask = tuple(masks)
         self.labels = dict(labels) if labels else {}
-        self._dist_table = None
+        self._pairs = pairs
+        self._adj = self._edges = None
         self._balls = {}  # k -> per-vertex k-ball masks, see engine._cached_ball
 
-    def neighbors(self, v):
-        return self.adj[v]
+    @property
+    def adj(self):
+        """Sorted neighbour tuples by vertex."""
+        if self._adj is None:
+            lists = [[] for _ in range(self.n)]
+            for u, v in self._pairs:
+                lists[u].append(v)
+                lists[v].append(u)
+            self._adj = tuple(tuple(sorted(ns)) for ns in lists)
+        return self._adj
+
+    @property
+    def edges(self):
+        """The edges as (low, high) pairs."""
+        if self._edges is None:
+            self._edges = frozenset((u, v) if u < v else (v, u) for u, v in self._pairs)
+        return self._edges
 
     def degree(self, v):
-        return len(self.adj[v])
+        return self.adj_mask[v].bit_count()
 
     def has_edge(self, u, v):
-        return (min(u, v), max(u, v)) in self.edges
+        return 0 <= u < self.n and 0 <= v < self.n and self.adj_mask[u] >> v & 1 == 1
 
     def __repr__(self):
-        return f"Graph(n={self.n}, m={len(self.edges)})"
+        return f"Graph(n={self.n}, m={self.m})"
 
 
 def build_graph(n, edges, labels=None):
@@ -72,45 +88,72 @@ def build_graph(n, edges, labels=None):
     return Graph(n, edges, labels)
 
 
-def bfs_distances(g, source):
-    """Hop distances from source; None marks unreachable vertices."""
-    dist = [None] * g.n
-    dist[source] = 0
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        for w in g.adj[u]:
-            if dist[w] is None:
-                dist[w] = dist[u] + 1
-                q.append(w)
-    return dist
+def _to_mask(vs):
+    m = 0
+    for v in vs:
+        m |= 1 << v
+    return m
 
 
-def _dist_row(g, u):
-    if g.n <= _DIST_CACHE_LIMIT:
-        if g._dist_table is None:
-            g._dist_table = [None] * g.n
-        row = g._dist_table[u]
-        if row is None:
-            row = bfs_distances(g, u)
-            g._dist_table[u] = row
-        return row
-    return bfs_distances(g, u)
+def _bits(m):
+    """Set bit positions of m, ascending."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
 
 
-def dist(g, u, v):
-    """Shortest-path hop count, or None when u and v are disconnected."""
+def _neighbourhood(adj, front):
+    """OR of adj[v] over the set bits v of front."""
+    nb = 0
+    while front:
+        low = front & -front
+        nb |= adj[low.bit_length() - 1]
+        front ^= low
+    return nb
+
+
+def dist(g, u, v, limit=None):
+    """Shortest-path hop count; None when u and v are disconnected, or
+    farther apart than `limit` when one is given.
+
+    Bidirectional BFS on the adjacency masks, growing the smaller frontier:
+    with the balls of radius a around u and b around v disjoint, the
+    distance is a + b + 1 exactly when the next level of one side meets the
+    other's ball. Nothing is cached on the graph."""
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise GraphError(f"vertex out of range: ({u}, {v})")
     if u == v:
         return 0
-    return _dist_row(g, u)[v]
+    adj = g.adj_mask
+    seen = front = 1 << u
+    seen_other = front_other = 1 << v
+    d = 0
+    while limit is None or d < limit:
+        if front.bit_count() > front_other.bit_count():
+            seen, front, seen_other, front_other = seen_other, front_other, seen, front
+        nb = _neighbourhood(adj, front)
+        d += 1
+        if nb & front_other:
+            return d
+        front = nb & ~seen
+        if not front:
+            return None
+        seen |= front
+    return None
 
 
 def is_connected(g):
     if g.n <= 1:
         return True
-    return all(d is not None for d in bfs_distances(g, 0))
+    adj = g.adj_mask
+    seen = front = 1
+    while front:
+        front = _neighbourhood(adj, front) & ~seen
+        seen |= front
+    return seen == (1 << g.n) - 1
 
 
 def diameter(g):
@@ -130,7 +173,7 @@ def diameter(g):
         raise GraphError("diameter undefined: graph is disconnected")
     full = (1 << g.n) - 1
     balls = [1 << u for u in range(g.n)]
-    active = list(enumerate(g.adj)) if g.n > 1 else []
+    active = [(u, _bits(m)) for u, m in enumerate(g.adj_mask)] if g.n > 1 else []
     d = 0
     while active:
         nxt = balls.copy()
@@ -149,15 +192,19 @@ def diameter(g):
 
 
 def is_independent(g, s):
-    s = set(s)
+    """True iff no two vertices of s are adjacent; GraphError names a
+    vertex of s out of range."""
+    adj = g.adj_mask
+    n = g.n
+    seen = 0
+    clash = False
     for v in s:
-        if not 0 <= v < g.n:
+        if not 0 <= v < n:
             raise GraphError(f"vertex out of range: {v}")
-    for v in s:
-        for w in g.adj[v]:
-            if w in s:
-                return False
-    return True
+        if adj[v] & seen:
+            clash = True
+        seen |= 1 << v
+    return not clash
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +270,7 @@ def _find_obstruction(g):
     adj = g.adj_mask
     for u in range(g.n):
         au = adj[u]
-        reach = 0
-        for w in g.adj[u]:
-            reach |= adj[w]
-        vs = reach & ~au & ~((2 << u) - 1)
+        vs = _neighbourhood(adj, au) & ~au & ~((2 << u) - 1)
         while vs:
             v = _low_bit(vs)
             vs &= vs - 1
@@ -237,16 +281,17 @@ def _find_obstruction(g):
                 rest = common & ~adj[a]
                 if rest:
                     return ("C4", (u, a, v, _low_bit(rest)))
-    for a, b in sorted(g.edges):
-        # vertices above a outside N[a] | N[b]
-        free = ~(adj[a] | adj[b] | (2 << a) - 1)
-        cs = free & ((1 << g.n) - 1)
-        while cs:
-            c = _low_bit(cs)
-            cs &= cs - 1
-            ds = adj[c] & free & ~((2 << c) - 1)
-            if ds:
-                return ("2K2", (a, b, c, _low_bit(ds)))
+    for a in range(g.n):
+        for b in _bits(adj[a] & ~((2 << a) - 1)):
+            # vertices above a outside N[a] | N[b]
+            free = ~(adj[a] | adj[b] | (2 << a) - 1)
+            cs = free & ((1 << g.n) - 1)
+            while cs:
+                c = _low_bit(cs)
+                cs &= cs - 1
+                ds = adj[c] & free & ~((2 << c) - 1)
+                if ds:
+                    return ("2K2", (a, b, c, _low_bit(ds)))
     # C5: brute force over 5-cycles.
     from itertools import combinations
 
@@ -287,7 +332,8 @@ def recognize_split(g):
     kpart, ipart = part
     if not is_independent(g, ipart) or not _is_clique(g, kpart):
         raise GraphError("degree partition inconsistency")  # pragma: no cover
-    movable = [v for v in kpart if not any(w in ipart for w in g.adj[v])]
+    adj, imask = g.adj_mask, _to_mask(ipart)
+    movable = [v for v in kpart if not adj[v] & imask]
     if movable:
         y = max(movable)
         kpart.discard(y)
@@ -296,13 +342,16 @@ def recognize_split(g):
 
 
 def _is_clique(g, vs):
-    vs = list(vs)
-    return all(g.has_edge(vs[i], vs[j]) for i in range(len(vs)) for j in range(i + 1, len(vs)))
+    """Every vertex of vs is adjacent to all the others."""
+    adj, m = g.adj_mask, _to_mask(vs)
+    return all(m & ~adj[v] == 1 << v for v in vs)
 
 
 def _decompose(g, kpart, ipart):
+    adj, imask = g.adj_mask, _to_mask(ipart)
+    kmask = ((1 << g.n) - 1) & ~imask
     bip_adj = {
-        v: [w for w in g.adj[v] if (w in ipart) != (v in ipart)] for v in range(g.n)
+        v: _bits(adj[v] & (kmask if imask >> v & 1 else imask)) for v in range(g.n)
     }
     comp = [None] * g.n
     clusters = []
@@ -413,7 +462,9 @@ def find_peo(g):
 
 
 def graph_to_json(g):
-    out = {"n": g.n, "edges": sorted([list(e) for e in g.edges])}
+    # bit j of adj_mask[u] >> (u + 1) stands for the edge (u, u + 1 + j)
+    edges = [[u, u + 1 + j] for u, m in enumerate(g.adj_mask) for j in _bits(m >> u + 1)]
+    out = {"n": g.n, "edges": edges}
     if g.labels:
         out["labels"] = {str(k): v for k, v in g.labels.items()}
     return out

@@ -138,7 +138,7 @@ def decide2(g, s, t, dec=None):
 
     # Isolated vertices can neither emit nor receive tokens at any k. Each
     # one is a cluster with an empty clique side; drop those clusters.
-    iso = frozenset(v for v in range(g.n) if not g.adj[v])
+    iso = frozenset(v for v, nb in enumerate(g.adj_mask) if not nb)
     if iso:
         if s & iso != t & iso:
             trace.append("isolated-vertex token mismatch")

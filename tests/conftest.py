@@ -14,7 +14,7 @@ from collections import deque
 from functools import lru_cache
 
 from kjump.engine import ResourceExhausted, _successor_fn
-from kjump.graph import Graph, build_graph
+from kjump.graph import GraphError, build_graph
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +49,27 @@ def two_cluster_graph(per_side):
 
 # ---------------------------------------------------------------------------
 # naive reference oracles
+
+def naive_graph_lists(n, edges):
+    """(adj, edges) as the list-first `Graph` constructor built them, with
+    its checks and messages, kept verbatim as the reference for the
+    mask-first one: sorted neighbour tuples and the (low, high) edge set."""
+    seen = set()
+    adj = [[] for _ in range(n)]
+    for e in edges:
+        u, v = e
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge endpoint out of range: ({u}, {v})")
+        if u == v:
+            raise GraphError(f"self-loop: ({u}, {v})")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise GraphError(f"duplicate edge: ({u}, {v})")
+        seen.add(key)
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(tuple(sorted(ns)) for ns in adj), frozenset(seen)
+
 
 def naive_dist(g, u, v):
     if u == v:

@@ -15,6 +15,7 @@ from kjump.engine import (
     Move,
     MoveSequence,
     ResourceExhausted,
+    _cached_ball,
     decide,
     exists_within,
     k_adjacent,
@@ -260,8 +261,12 @@ def test_validate_matches_naive_replay():
             moves.append((src, dst))
             cur = cur - {src} | {dst}
         k = rng.randint(1, 4)
-        report = validate_sequence(g, seq(start, moves, k), k)
         want = naive_validate(g, start, moves, k)
+        report = validate_sequence(g, seq(start, moves, k), k)  # pair tests
+        assert (report.ok, report.step, report.reason) == want
+        for v in range(n):
+            _cached_ball(g, v, k)
+        report = validate_sequence(g, seq(start, moves, k), k)  # cached balls
         assert (report.ok, report.step, report.reason) == want
         kinds[re.sub(r"[\d-]+", "#", want[2] or "valid")] += 1
     assert set(kinds) == {
@@ -279,6 +284,10 @@ def test_validate_matches_naive_replay():
 
 def test_validate_vertex_out_of_range():
     g = path_graph(4)
+    for dst in (4, 9, -1, -7):
+        with pytest.raises(GraphError, match="out of range"):
+            validate_sequence(g, seq({0}, [(0, dst)], 2), 2)
+    _cached_ball(g, 0, 2)
     for dst in (4, 9, -1, -7):
         with pytest.raises(GraphError, match="out of range"):
             validate_sequence(g, seq({0}, [(0, dst)], 2), 2)

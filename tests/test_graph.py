@@ -6,7 +6,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kjump import engine, split2
 from kjump.graph import (
+    Graph,
     GraphError,
     NotSplitError,
     _degree_partition,
@@ -25,8 +27,14 @@ from kjump.graph import (
     recognize_split,
     verify_peo,
 )
-from kjump.generators import random_split_graph
-from kjump.reduction import build_instance
+from kjump.generators import random_pair, random_split_graph
+from kjump.reduction import (
+    assignment_to_sequence,
+    build_instance,
+    instance_stats,
+    instance_to_json,
+    sequence_to_assignment,
+)
 
 from conftest import (
     atlas_graphs,
@@ -38,6 +46,7 @@ from conftest import (
     naive_diameter,
     naive_dist,
     naive_find_obstruction,
+    naive_graph_lists,
     naive_is_peo,
     naive_lex_bfs,
     naive_shortest_path,
@@ -79,6 +88,82 @@ def test_adjacency_symmetric():
     for u in range(4):
         for v in g.adj[u]:
             assert u in g.adj[v]
+
+
+def check_against_list_graph(g, pairs):
+    """Every view of g against the list-first constructor's on the same
+    edge list; the lazy adj and edges last, so the others are checked
+    before they exist."""
+    adj, edges = naive_graph_lists(g.n, pairs)
+    assert g.adj_mask == tuple(sum(1 << w for w in ns) for ns in adj)
+    assert [g.degree(v) for v in range(g.n)] == [len(ns) for ns in adj]
+    for u in range(-1, g.n + 1):
+        for v in range(-1, g.n + 1):
+            assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edges)
+    assert graph_to_json(g)["edges"] == sorted([list(e) for e in edges])
+    assert repr(g) == f"Graph(n={g.n}, m={len(edges)})"
+    assert g._adj is None and g._edges is None
+    assert g.adj == adj and g.edges == edges
+
+
+def test_mask_graph_matches_list_graph():
+    # every atlas graph with <= 7 vertices, 2,000 random graphs given as
+    # shuffled edge lists with random orientations, and reduction instances
+    rng = random.Random(41)
+    checked = collections.Counter()
+    for g in atlas_graphs(7):
+        pairs = [tuple(e) for e in graph_to_json(g)["edges"]]
+        check_against_list_graph(build_graph(g.n, pairs), pairs)
+        checked["atlas"] += 1
+    for _ in range(2000):
+        n = rng.randint(0, 16)
+        p = rng.choice((0.0, 0.2, 0.5, 0.9))
+        pairs = [
+            (u, v) if rng.random() < 0.5 else (v, u)
+            for u, v in itertools.combinations(range(n), 2)
+            if rng.random() < p
+        ]
+        rng.shuffle(pairs)
+        check_against_list_graph(build_graph(n, pairs), pairs)
+        checked["random"] += 1
+    for phi in exhaustive_e3_formulas()[::600]:
+        for k in (3, 5):
+            g = build_instance(phi, k).graph
+            check_against_list_graph(g, g._pairs)  # the list build_instance gave
+            checked["reduction"] += 1
+    assert checked == {"atlas": len(atlas_graphs(7)), "random": 2000, "reduction": 18}
+
+
+def _outcome(build, n, pairs):
+    try:
+        build(n, pairs)
+    except GraphError as exc:
+        return str(exc)
+    return None
+
+
+def test_construction_errors_match_list_graph():
+    # edge lists with several bad edges of every kind: the same first
+    # failing edge and the same message as the list-first constructor
+    rng = random.Random(43)
+    kinds = collections.Counter()
+    for _ in range(3000):
+        n = rng.randint(1, 8)
+        pairs = [
+            (rng.randint(-2, n + 1), rng.randint(-2, n + 1))
+            if rng.random() < 0.15
+            else tuple(rng.sample(range(n), 2)) if n > 1 else (0, 0)
+            for _ in range(rng.randint(0, 12))
+        ]
+        for _ in range(rng.randint(0, 2)):
+            if pairs:
+                u, v = rng.choice(pairs)
+                pairs.insert(rng.randrange(len(pairs) + 1), (v, u))
+        want = _outcome(naive_graph_lists, n, pairs)
+        assert _outcome(Graph, n, pairs) == want, (n, pairs)
+        kinds[want.split(":")[0] if want else "valid"] += 1
+    assert set(kinds) == {"valid", "edge endpoint out of range", "self-loop", "duplicate edge"}
+    assert min(kinds.values()) >= 100, kinds
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +225,29 @@ def test_is_connected():
     assert is_connected(path_graph(5))
     assert not is_connected(build_graph(3, [(0, 1)]))
     assert is_connected(build_graph(1, []))
+
+
+def test_dist_and_limited_test_match_naive():
+    # every pair, with every limit from 0 to one past the largest finite
+    # distance, on connected and disconnected graphs
+    graphs = list(atlas_graphs(6)) + [path_graph(30), build_graph(9, [(0, 1), (2, 3)])]
+    rng = random.Random(47)
+    for _ in range(200):
+        n = rng.randint(2, 14)
+        p = rng.choice((0.1, 0.2, 0.4))
+        graphs.append(
+            build_graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        )
+    disconnected = 0
+    for g in graphs:
+        want = {(u, v): naive_dist(g, u, v) for u in range(g.n) for v in range(g.n)}
+        top = max(d for d in want.values() if d is not None)
+        disconnected += None in want.values()
+        for (u, v), d in want.items():
+            assert dist(g, u, v) == d
+            for limit in range(top + 2):
+                assert dist(g, u, v, limit) == (d if d is not None and d <= limit else None)
+    assert disconnected > 100
 
 
 @settings(max_examples=60, deadline=None)
@@ -467,3 +575,62 @@ def test_parse_graph_dispatch():
     assert g.edges == frozenset({(0, 1)})
     with pytest.raises(GraphError, match="format"):
         parse_graph("", "yaml")
+
+
+# ---------------------------------------------------------------------------
+# timed paths read masks only
+
+
+def test_timed_paths_never_build_lazy_forms(monkeypatch):
+    # The oracle, decide2 with a passed decomposition, recognition, the
+    # lower bound, validation, the reduction pipeline (but for simulate,
+    # whose parent-tree BFS reads adj) and serialization all run on
+    # adjacency masks. Building `adj` or `edges` on one of these paths would
+    # move construction cost back into every query.
+    def lazy(self):
+        raise AssertionError("a timed path built Graph.adj or Graph.edges")
+
+    monkeypatch.setattr(Graph, "adj", property(lazy))
+    monkeypatch.setattr(Graph, "edges", property(lazy))
+    rng = random.Random(53)
+    for gi in range(60):
+        core = random_split_graph(rng.randint(3, 10), rng)
+        g = build_graph(core.n + gi % 3, graph_to_json(core)["edges"])  # isolated
+        dec = recognize_split(g)
+        for _ in range(5):
+            s, t = random_pair(g, rng, max_size=3)
+            split2.decide2(g, s, t, dec)
+    nonsplit = 0
+    for g in random_graphs(40, 9, seed=57):
+        try:
+            recognize_split(g)
+        except NotSplitError:
+            nonsplit += 1
+    assert nonsplit > 5
+    searched = 0
+    for g in random_graphs(60, 10, seed=59):
+        s, t = random_pair(g, rng, max_size=3)
+        for k in (1, 2, 3):
+            comp = engine.reachable_configs(g, s, k)
+            assert engine.decide(g, s, t, k) == (t in comp)
+            seq = engine.shortest(g, s, t, k)
+            if seq is None:
+                continue
+            if seq.moves:
+                assert not engine.exists_within(g, s, t, k, len(seq) - 1)
+            assert engine.lower_bound_moves(g, s, t, k) <= len(seq)
+            assert engine.validate_sequence(g, seq, k)
+            fresh = graph_from_json(graph_to_json(g))  # no cached balls
+            assert engine.validate_sequence(fresh, seq, k)
+            searched += 1
+    assert searched > 100
+    for phi in exhaustive_e3_formulas()[::900]:
+        inst = build_instance(phi, 3)
+        instance_to_json(inst)
+        assert instance_stats(inst).chordal
+        bits = next(
+            b for b in itertools.product((False, True), repeat=phi.num_vars)
+            if phi.satisfies(b)
+        )
+        sequence_to_assignment(inst, assignment_to_sequence(inst, bits))
+        assert find_peo(inst.graph) is not None
