@@ -44,7 +44,7 @@ def _step(g, cur, u, v, k, out):
     keeps its first discoverer, so a parent never depends on where the BFS
     stops, and the path is the one a fresh BFS from u to v would give; w is
     the (k-1)-th ancestor of v on it."""
-    adj, nbrs = g.adj_mask, g.adj
+    adj = g.adj_mask
     ball = _cached_ball(g, u, k)
     parent = {u: u}
     queue = deque([u])
@@ -52,7 +52,7 @@ def _step(g, cur, u, v, k, out):
     while not ball >> v & 1:
         while v not in parent and queue:
             x = queue.popleft()
-            for y in nbrs[x]:
+            for y in g.adj[x]:
                 if y not in parent:
                     parent[y] = x
                     queue.append(y)

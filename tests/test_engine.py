@@ -27,7 +27,7 @@ from kjump.engine import (
     successors,
     validate_sequence,
 )
-from kjump.graph import GraphError, build_graph, diameter
+from kjump.graph import GraphError, build_graph, diameter, dist
 from kjump.reduction import CnfFormula, build_instance
 
 from conftest import (
@@ -292,6 +292,32 @@ def test_validate_vertex_out_of_range():
     for src in (-1, 9):
         report = validate_sequence(g, seq({0}, [(src, 2)], 2), 2)
         assert (report.step, report.reason) == (0, f"no token on {src}")
+
+
+def test_validate_reads_cached_balls(monkeypatch):
+    # With src's k-ball cached, a passing move is a bit test: simulate_move
+    # replays its output after caching every ball it used, and a pair test
+    # per move costs a BFS on n-bit ints (ten times the replay on a long
+    # path). Only a failing move still runs dist, to name the distance.
+    g = path_graph(30)
+    s = seq({0, 10}, [(0, 3), (10, 13), (3, 6)], 3)
+    calls = []
+
+    def counting_dist(*args):
+        calls.append(args)
+        return dist(*args)
+
+    monkeypatch.setattr(engine, "dist", counting_dist)
+    assert validate_sequence(g, s)
+    assert len(calls) == 3  # no balls cached: one pair test per move
+    for v in (0, 10, 3):
+        _cached_ball(g, v, 3)
+    calls.clear()
+    assert validate_sequence(g, s)
+    assert calls == []
+    report = validate_sequence(g, seq({0}, [(0, 4)], 3))
+    assert report.reason == "distance 4 exceeds bound 3"
+    assert calls == [(g, 0, 4)]
 
 
 def test_validate_uses_sequence_k_by_default():

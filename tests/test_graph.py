@@ -31,8 +31,8 @@ from kjump.generators import random_pair, random_split_graph
 from kjump.reduction import (
     assignment_to_sequence,
     build_instance,
-    instance_stats,
     instance_to_json,
+    peo_order,
     sequence_to_assignment,
 )
 
@@ -583,10 +583,11 @@ def test_parse_graph_dispatch():
 
 def test_timed_paths_never_build_lazy_forms(monkeypatch):
     # The oracle, decide2 with a passed decomposition, recognition, the
-    # lower bound, validation, the reduction pipeline (but for simulate,
-    # whose parent-tree BFS reads adj) and serialization all run on
-    # adjacency masks. Building `adj` or `edges` on one of these paths would
-    # move construction cost back into every query.
+    # lower bound, validation, the reduction pipeline and serialization all
+    # run on adjacency masks. Building `adj` or `edges` on one of these paths
+    # would move construction cost back into every query. simulate's
+    # parent-tree BFS and diameter's ball recurrence walk neighbour lists,
+    # so they read adj and are left out.
     def lazy(self):
         raise AssertionError("a timed path built Graph.adj or Graph.edges")
 
@@ -627,7 +628,9 @@ def test_timed_paths_never_build_lazy_forms(monkeypatch):
     for phi in exhaustive_e3_formulas()[::900]:
         inst = build_instance(phi, 3)
         instance_to_json(inst)
-        assert instance_stats(inst).chordal
+        assert verify_peo(inst.graph, peo_order(inst))
+        bound = engine.lower_bound_moves(inst.graph, inst.start, inst.target, inst.k)
+        assert bound is not None
         bits = next(
             b for b in itertools.product((False, True), repeat=phi.num_vars)
             if phi.satisfies(b)
