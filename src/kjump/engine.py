@@ -6,6 +6,7 @@ matching-based lower bound on sequence length.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -300,11 +301,45 @@ def _explore(g, s, k, max_states):
     return _search(g, k, max_states, _to_mask(s))[1].seen
 
 
+class _Configs(Set):
+    """Read-only set of the configurations of an n-vertex graph keyed by
+    mask in `masks`. Length and membership read the masks; the frozensets
+    are built only as the view is iterated, in the dict's order. `&`, `|`
+    and `-` give frozensets."""
+
+    __slots__ = ("_masks", "_n")
+
+    def __init__(self, masks, n):
+        self._masks = masks
+        self._n = n
+
+    def __len__(self):
+        return len(self._masks)
+
+    def __contains__(self, c):
+        if not isinstance(c, (set, frozenset)):
+            return False
+        m = 0
+        for v in c:
+            if not isinstance(v, int) or not 0 <= v < self._n:
+                return False
+            m |= 1 << v
+        return m in self._masks
+
+    def __iter__(self):
+        return map(_from_mask, self._masks)
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return frozenset(it)
+
+
 def reachable_configs(g, c, k, max_states=DEFAULT_STATE_CAP):
-    """Every configuration reachable from c, c included."""
+    """Every configuration reachable from c, c included, as a read-only set
+    of frozensets in BFS discovery order."""
     _check_k(k)
     _check_config(g, c, "configuration")
-    return {_from_mask(m) for m in _explore(g, c, k, max_states)}
+    return _Configs(_explore(g, c, k, max_states), g.n)
 
 
 def _check_pair(g, s, t, k):

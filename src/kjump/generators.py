@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 from .graph import build_graph, is_connected
 
@@ -61,16 +62,46 @@ def _clique_cover_size(g):
     return cliques
 
 
+def _skip_shuffles(rng, n, tries):
+    """Advance a `random.Random` exactly as `tries` calls of its `shuffle`
+    on n < 256 items would, without shuffling. A shuffle draws
+    randbelow(i) for i = n, ..., 2; each draw takes one 32-bit word per
+    attempt and accepts it when word >> (32 - i.bit_length()) < i, a test
+    that reads only the word's top byte while i < 256. A regex over the top
+    bytes of a batch of words finds how many words the shuffles take (the
+    batch doubles until it holds them all); the generator is then rewound
+    and advanced by exactly that many."""
+    limits = [i << 8 - i.bit_length() for i in range(n, 1, -1)]
+    draws = b"".join(
+        b"[\\x%02x-\\xff]*[\\x00-\\x%02x]" % (top, top - 1) for top in limits
+    )
+    shuffles = re.compile(b"(?:%s){%d}" % (draws, tries))
+    state = rng.getstate()
+    # a draw takes 256 / top words on average; start a quarter above that
+    words = int(1.25 * tries * sum(256 / top for top in limits)) + 64
+    while True:
+        tops = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+        rng.setstate(state)
+        m = shuffles.match(tops)
+        if m:
+            break
+        words *= 2
+    rng.getrandbits(32 * m.end())
+
+
 def random_independent_set(g, size, rng, tries=2000):
     """A uniform-ish independent set of the requested size, or None: the
     greedy set of each of `tries` shuffles, until one reaches `size`.
 
     When size exceeds a clique cover, and so the independence number, every
-    try fails; the shuffles are still drawn, so the random stream advances
-    as if they had been tried."""
+    try fails; the random stream still advances as if the shuffles had been
+    tried, fast-forwarded for a plain `random.Random`."""
     adj = g.adj_mask
     verts = list(range(g.n))
     hopeless = size > _clique_cover_size(g)
+    if hopeless and type(rng) is random.Random and g.n < 256:
+        _skip_shuffles(rng, g.n, tries)
+        return None
     for _ in range(tries):
         rng.shuffle(verts)
         if hopeless:

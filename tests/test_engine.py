@@ -581,6 +581,45 @@ def test_reachable_configs_matches_naive():
             assert reachable_configs(g, c, 2) == naive_reachable(g, c, 2)
 
 
+def test_reachable_configs_is_a_read_only_set_view(monkeypatch):
+    views = 0
+    for g in random_graphs(12, 7, seed=41):
+        sets = independent_sets(g, 3)
+        rng = random.Random(g.n)
+        for c in rng.sample(sets, min(3, len(sets))):
+            for k in (1, 2):
+                comp = reachable_configs(g, c, k)
+                want = naive_reachable(g, c, k)
+                assert comp == want and want == comp
+                assert not comp != want and not want != comp
+                members = list(comp)
+                assert len(comp) == len(members) == len(set(members)) == len(want)
+                assert set(members) == want and frozenset(c) in comp
+                other = set(sets[: len(sets) // 2])
+                assert comp & other == want & other
+                assert comp | other == want | other
+                assert comp - other == want - other
+                for result in (comp & other, comp | other, comp - other):
+                    assert type(result) is frozenset
+                views += 1
+    assert views >= 40
+    g = path_graph(6)
+    comp = reachable_configs(g, {0, 2}, 2)
+    assert not hasattr(comp, "add") and not hasattr(comp, "discard")
+    members = list(comp)
+    assert members[0] == frozenset({0, 2})
+    for probe in ([0, 2], (0, 2), "02", 2, None, {0: 1, 2: 1},
+                  {-1, 2}, {0.0, 2}, {"0", 2}, {0, 6}, {0, 2**80}):
+        assert probe not in comp
+    # len and membership never build a frozenset per state
+    monkeypatch.setattr(engine, "_from_mask", lambda m: 1 / 0)
+    assert len(comp) == len(members)
+    assert all(set(c) in comp and c in comp for c in members)
+    assert frozenset({0, 1}) not in comp
+    with pytest.raises(ZeroDivisionError):
+        next(iter(comp))
+
+
 def test_resource_cap_raises():
     g = path_graph(9)
     with pytest.raises(ResourceExhausted):

@@ -11,7 +11,9 @@ import time
 from kjump import cli
 from kjump.generators import (
     _clique_cover_size,
+    _skip_shuffles,
     random_connected_graph,
+    random_independent_set,
     random_pair,
     random_split_graph,
 )
@@ -40,6 +42,44 @@ def test_random_pair_stream_is_unchanged():
     assert _sha(repr(rng.getstate())) == (
         "6fed617e8e76df2ec58b409b6db9444373128a908d1f99a5eb2d38a0eb6c1aca"
     )
+
+
+def test_skip_shuffles_matches_real_shuffles():
+    for n in range(21):
+        for seed in range(3):
+            for tries in (0, 1, 2, 7, 60):
+                real, fast = random.Random(seed), random.Random(seed)
+                real.random(), fast.random()  # start mid-stream
+                verts = list(range(n))
+                for _ in range(tries):
+                    real.shuffle(verts)
+                _skip_shuffles(fast, n, tries)
+                assert fast.getstate() == real.getstate(), (n, seed, tries)
+    for n in (64, 200, 255):  # the largest top-byte limits
+        real, fast = random.Random(n), random.Random(n)
+        for _ in range(40):
+            real.shuffle(list(range(n)))
+        _skip_shuffles(fast, n, 40)
+        assert fast.getstate() == real.getstate(), n
+
+
+def test_hopeless_sizes_advance_the_stream_as_shuffles_would():
+    # A subclass of random.Random is not fast-forwarded: it shuffles, so it
+    # gives the stream that real shuffles draw.
+    class Shuffling(random.Random):
+        pass
+
+    skipped = 0
+    for g in atlas_graphs(6):
+        cover = _clique_cover_size(g)
+        for size in (cover + 1, g.n + 2):
+            fast, real = random.Random(g.n + size), Shuffling(g.n + size)
+            assert random_independent_set(g, size, fast, tries=30) is None
+            assert random_independent_set(g, size, real, tries=30) is None
+            assert fast.getstate() == real.getstate()
+            assert fast.random() == real.random()
+            skipped += g.n >= 2
+    assert skipped >= 200
 
 
 def test_clique_cover_bounds_independence_number():

@@ -109,9 +109,16 @@ def _long_jumps(g, rng, count, k):
         if c is None:
             continue
         u = rng.choice(sorted(c))
+        row = {u: 0}  # BFS distances from u
+        order = [u]
+        for w in order:
+            for x in g.adj[w]:
+                if x not in row:
+                    row[x] = row[w] + 1
+                    order.append(x)
         far = [
             v for v in range(g.n)
-            if v not in c and (dist(g, u, v) or 0) > k
+            if v not in c and row.get(v, 0) > k
             and is_independent(g, c - {u} | {v})
         ]
         if far:
