@@ -19,7 +19,7 @@ from kjump.generators import (
 )
 from kjump.graph import graph_to_json, is_connected
 
-from conftest import atlas_graphs, independent_sets
+from conftest import atlas_graphs, complete_graph, independent_sets
 
 
 def _sha(text):
@@ -70,14 +70,14 @@ def test_hopeless_sizes_advance_the_stream_as_shuffles_would():
         pass
 
     skipped = 0
-    for g in atlas_graphs(6):
+    # from 256 vertices on, a draw's test reads more than a word's top byte
+    for g in [*atlas_graphs(6), complete_graph(255), complete_graph(300)]:
         cover = _clique_cover_size(g)
         for size in (cover + 1, g.n + 2):
             fast, real = random.Random(g.n + size), Shuffling(g.n + size)
             assert random_independent_set(g, size, fast, tries=30) is None
             assert random_independent_set(g, size, real, tries=30) is None
             assert fast.getstate() == real.getstate()
-            assert fast.random() == real.random()
             skipped += g.n >= 2
     assert skipped >= 200
 
