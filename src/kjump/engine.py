@@ -435,22 +435,16 @@ def validate_sequence(g, seq, k=None):
     """Replay a move sequence, checking occupancy, distance and independence
     at every step. Rejection is a value, not an exception.
 
-    A move passes the distance check when dst lies in src's k-ball, if the
-    graph has that ball cached, and otherwise when the pair test dist(src,
-    dst) <= k holds, which caches nothing; only a failing move pays for the
-    full `dist`, to name the distance. The cached balls are there when
-    `simulate_move` checks its own output, and reading them matters on large
-    graphs: the pair test works on n-bit ints, and on a 40,000-vertex path
-    replaying the 19,999 moves of `simulate_move` 0 -> 39,999 at k = 3 took
-    0.06 s with the balls against 0.6 s by pair tests. The set before a move
-    is independent, so the set after it is independent exactly when N(dst)
-    misses the tokens other than src."""
+    A move passes the distance check when the pair test dist(src, dst) <= k
+    holds, which caches nothing; only a failing move pays for the full
+    `dist`, to name the distance. The set before a move is independent, so
+    the set after it is independent exactly when N(dst) misses the tokens
+    other than src."""
     if k is None:
         k = seq.k
     if not is_independent(g, seq.start):
         return ValidationReport(False, None, "start set is not independent")
     adj = g.adj_mask
-    balls = g._balls.get(k)
     cur = _to_mask(seq.start)
     for i, (src, dst) in enumerate(seq.moves):
         if src == dst:
@@ -459,13 +453,8 @@ def validate_sequence(g, seq, k=None):
             return ValidationReport(False, i, f"no token on {src}")
         if dst >= 0 and cur >> dst & 1:
             return ValidationReport(False, i, f"vertex {dst} already occupied")
-        ball = balls[src] if balls else None
-        if ball is None or dst < 0:
-            # raises GraphError for dst out of range
-            near = dist(g, src, dst, k) is not None
-        else:
-            near = ball >> dst & 1
-        if not near:
+        # raises GraphError for dst out of range
+        if dist(g, src, dst, k) is None:
             d = dist(g, src, dst)
             if d is None:
                 return ValidationReport(False, i, f"{src} cannot reach {dst}")

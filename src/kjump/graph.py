@@ -534,6 +534,8 @@ def parse_edgelist(text):
         elif parts[0] == "e":
             if n is None:
                 raise GraphError("edge line before 'p edge' header")
+            if len(parts) < 3:
+                raise GraphError(f"malformed edge at line {lineno}: {line!r}")
             u, v = int(parts[1]), int(parts[2])
             edges.append((u - 1, v - 1))
         else:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from . import engine
 from .graph import (
     GraphError,
+    _to_mask,
     build_graph,
     diameter,
     graph_from_json,
@@ -264,22 +265,16 @@ def sequence_to_assignment(inst, seq):
     report = engine.validate_sequence(inst.graph, seq, inst.k)
     if not report:
         raise GraphError(f"invalid sequence at step {report.step}: {report.reason}")
-    if frozenset(seq.start) != inst.start or seq.final() != inst.target:
-        raise GraphError("sequence does not run from the start set to the target set")
 
-    pos_open = [False] * n
-    cur = set(seq.start)
-    configs = [frozenset(cur)]
-    for mv in seq.moves:
-        cur.discard(mv.src)
-        cur.add(mv.dst)
-        configs.append(frozenset(cur))
-    for i in range(n):
-        s0, t0 = inst.s(i, 0), inst.t(i, 0)
-        for conf in configs:
-            if s0 not in conf and t0 not in conf:
-                pos_open[i] = True
-    return tuple(pos_open)
+    cur = _to_mask(seq.start)
+    states = [cur]
+    for src, dst in seq.moves:
+        cur ^= 1 << src | 1 << dst
+        states.append(cur)
+    if frozenset(seq.start) != inst.start or cur != _to_mask(inst.target):
+        raise GraphError("sequence does not run from the start set to the target set")
+    pairs = (1 << inst.s(i, 0) | 1 << inst.t(i, 0) for i in range(n))
+    return tuple(any(not state & pair for state in states) for pair in pairs)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,10 @@ w = u_{l-k+1}: if w is unoccupied and unblocked, move the token to w first
 and finish with one jump; otherwise some token sits on w or a neighbor u' of
 w, and that token jumps to v (within distance k) before the original token
 continues into u'.
+
+Each generated move is checked once, as `_emit` appends it, against one
+running state mask; the start set is checked on entry, so the output is a
+valid k-Jump sequence by induction.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from .engine import (
     Move,
     MoveSequence,
     _cached_ball,
-    _from_mask,
     _to_mask,
     validate_sequence,
 )
@@ -89,6 +92,20 @@ def _emit(g, cur, src, dst, k, out):
     return cur | 1 << dst
 
 
+def _compile(g, start, moves, k):
+    """Expand the TJ moves one after another from the independent set start,
+    stepping a single state mask; each expansion must end on the set the TJ
+    move itself reaches."""
+    cur = _to_mask(start)
+    out = []
+    for u, v in moves:
+        want = cur ^ 1 << u | 1 << v
+        cur = _step(g, cur, u, v, k, out)
+        if cur != want:
+            raise SimulationError(f"expansion of {u} -> {v} ends on the wrong set")
+    return MoveSequence(frozenset(start), tuple(out), k)
+
+
 def simulate_move(g, c, u, v, k):
     """Expand the single jump u -> v on configuration c into a valid k-Jump
     sequence with the same final set, for k >= 3."""
@@ -103,13 +120,7 @@ def simulate_move(g, c, u, v, k):
         raise GraphError(f"vertex {v} already occupied")
     if not is_independent(g, c - {u} | {v}):
         raise GraphError(f"move {u} -> {v} does not preserve independence")
-    out = []
-    final = _step(g, _to_mask(c), u, v, k, out)
-    seq = MoveSequence(c, tuple(out), k)
-    report = validate_sequence(g, seq, k)
-    if not report or seq.final() != _from_mask(final) or seq.final() != c - {u} | {v}:
-        raise SimulationError(f"internal validation failed: {report}")
-    return seq
+    return _compile(g, c, [(u, v)], k)
 
 
 def simulate_sequence(g, seq, k):
@@ -120,14 +131,4 @@ def simulate_sequence(g, seq, k):
     report = validate_sequence(g, seq, seq.k)
     if not report:
         raise GraphError(f"input sequence invalid at step {report.step}: {report.reason}")
-    cur = frozenset(seq.start)
-    out = []
-    for mv in seq.moves:
-        piece = simulate_move(g, cur, mv.src, mv.dst, k)
-        out.extend(piece.moves)
-        cur = piece.final()
-    result = MoveSequence(frozenset(seq.start), tuple(out), k)
-    check = validate_sequence(g, result, k)
-    if not check or result.final() != seq.final():
-        raise SimulationError(f"internal validation failed: {check}")
-    return result
+    return _compile(g, seq.start, seq.moves, k)

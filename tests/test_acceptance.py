@@ -171,8 +171,10 @@ def test_criterion_2_lemma8_compiler(capsys, c1_graphs):
                     pc = engine._from_mask(par)
                     cc = engine._from_mask(child)
                     out = simulate_move(g, pc, mv.src, mv.dst, 3)
+                    assert validate_sequence(g, out, 3)
                     assert out.final() == cc
                     back = simulate_move(g, cc, mv.dst, mv.src, 3)
+                    assert validate_sequence(g, back, 3)
                     assert back.final() == pc
                     edges_expanded += 2
                 if len(parents) > 1 and splices < 300:

@@ -73,6 +73,23 @@ def test_recognize_edgelist_format(tmp_path, capsys):
     assert out["n"] == 3 and out["split"] is True
 
 
+def test_recognize_edgelist_short_edge_line(tmp_path):
+    # an 'e' line with fewer than two endpoints is a usage error (exit 2 and
+    # one JSON line on stderr), not a traceback
+    src = os.path.dirname(os.path.dirname(kjump.__file__))
+    for text, lineno in [("p edge 3 1\ne 1\n", 2), ("c x\np edge 3 1\ne\n", 3)]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "kjump.cli", "recognize",
+             write(tmp_path, "g.col", text), "--format", "edgelist"],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line)["error"].startswith(f"malformed edge at line {lineno}:")
+
+
 def test_decide_and_shortest(tmp_path, capsys):
     g = path_graph(4)
     inst = instance_file(tmp_path, g, {0}, {3}, 2)

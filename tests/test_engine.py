@@ -294,11 +294,10 @@ def test_validate_vertex_out_of_range():
         assert (report.step, report.reason) == (0, f"no token on {src}")
 
 
-def test_validate_reads_cached_balls(monkeypatch):
-    # With src's k-ball cached, a passing move is a bit test: simulate_move
-    # replays its output after caching every ball it used, and a pair test
-    # per move costs a BFS on n-bit ints (ten times the replay on a long
-    # path). Only a failing move still runs dist, to name the distance.
+def test_validate_runs_one_pair_test_per_move(monkeypatch):
+    # Every passing move costs one limited pair test dist(src, dst, k),
+    # whether or not the graph has k-balls cached; only a failing move runs
+    # the full dist, to name the distance.
     g = path_graph(30)
     s = seq({0, 10}, [(0, 3), (10, 13), (3, 6)], 3)
     calls = []
@@ -308,16 +307,18 @@ def test_validate_reads_cached_balls(monkeypatch):
         return dist(*args)
 
     monkeypatch.setattr(engine, "dist", counting_dist)
+    pair_tests = [(g, 0, 3, 3), (g, 10, 13, 3), (g, 3, 6, 3)]
     assert validate_sequence(g, s)
-    assert len(calls) == 3  # no balls cached: one pair test per move
+    assert calls == pair_tests
     for v in (0, 10, 3):
         _cached_ball(g, v, 3)
     calls.clear()
     assert validate_sequence(g, s)
-    assert calls == []
+    assert calls == pair_tests
+    calls.clear()
     report = validate_sequence(g, seq({0}, [(0, 4)], 3))
     assert report.reason == "distance 4 exceeds bound 3"
-    assert calls == [(g, 0, 4)]
+    assert calls == [(g, 0, 4, 3), (g, 0, 4)]
 
 
 def test_validate_uses_sequence_k_by_default():

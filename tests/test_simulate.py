@@ -8,7 +8,8 @@ from kjump.engine import Move, MoveSequence, _cached_ball, _to_mask, validate_se
 from kjump.generators import random_independent_set
 from kjump.graph import GraphError, build_graph, diameter, dist, is_independent
 from kjump.reduction import build_instance
-from kjump.simulate import _emit, simulate_move, simulate_sequence
+from kjump import simulate
+from kjump.simulate import SimulationError, _emit, simulate_move, simulate_sequence
 
 from conftest import (
     exhaustive_e3_formulas,
@@ -73,6 +74,45 @@ def test_preconditions():
         simulate_move(g, {0, 1}, 0, 3, 3)
     with pytest.raises(GraphError, match="reach"):
         simulate_move(build_graph(3, [(0, 1)]), {0}, 0, 2, 3)
+
+
+def test_emit_rejects_each_illegal_move():
+    # _emit is the one check of a generated move: src holds a token, dst is
+    # free and in src's k-ball, and the set stays independent.
+    g = path_graph(8)
+    cur = _to_mask({0, 4})
+    for src, dst, why in [
+        (1, 3, "illegal"),  # no token on 1
+        (0, 4, "illegal"),  # 4 already occupied
+        (0, 0, "illegal"),  # null move: dst occupied
+        (0, 7, "illegal"),  # distance 7 > 3
+        (0, 9, "illegal"),  # not a vertex
+        (0, 3, "independence"),  # 3 is adjacent to the token on 4
+    ]:
+        out = []
+        with pytest.raises(SimulationError, match=why):
+            _emit(g, cur, src, dst, 3, out)
+        assert out == []
+    out = []
+    assert _emit(g, cur, 0, 2, 3, out) == _to_mask({2, 4})
+    assert out == [Move(0, 2)]
+
+
+def test_wrong_step_state_is_caught(monkeypatch):
+    # _compile compares the state mask after each expansion with the set the
+    # TJ move reaches, so a _step that ends on another set cannot go unseen.
+    g = path_graph(8)
+    step = simulate._step
+
+    def shifted(g, cur, u, v, k, out):
+        return step(g, cur, u, v, k, out) ^ 0b11
+
+    monkeypatch.setattr(simulate, "_step", shifted)
+    with pytest.raises(SimulationError, match="wrong set"):
+        simulate_move(g, {0}, 0, 6, 3)
+    seq = MoveSequence(frozenset({0, 7}), (Move(0, 4),), 4)
+    with pytest.raises(SimulationError, match="wrong set"):
+        simulate_sequence(g, seq, 3)
 
 
 def _reference_moves(g, c, u, v, k):
