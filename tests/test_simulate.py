@@ -3,12 +3,11 @@ import time
 
 import pytest
 
-from kjump import engine
+from kjump import engine, simulate
 from kjump.engine import Move, MoveSequence, _cached_ball, _to_mask, validate_sequence
 from kjump.generators import random_independent_set
 from kjump.graph import GraphError, build_graph, diameter, dist, is_independent
 from kjump.reduction import build_instance
-from kjump import simulate
 from kjump.simulate import SimulationError, _emit, simulate_move, simulate_sequence
 
 from conftest import (
