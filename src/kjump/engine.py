@@ -129,15 +129,6 @@ def _ball_table(g, k):
     return table
 
 
-def _cached_ball(g, u, k):
-    """_ball(g, u, k), computed on first use and kept on the graph."""
-    table = _ball_table(g, k)
-    b = table[u]
-    if b is None:
-        b = table[u] = _ball(g, u, k)
-    return b
-
-
 def _free_masks(adj, cur, toks):
     """(free, alone) for state cur with tokens toks: the vertices neither
     holding nor adjacent to a token, and the neighbours of exactly one
@@ -165,7 +156,7 @@ def _successor_fn(g, k):
         for u in toks:
             b = ball[u]
             if b is None:
-                b = _cached_ball(g, u, k)
+                b = ball[u] = _ball(g, u, k)
             dests = b & (free | adj[u] & alone)
             base = cur ^ (1 << u)
             while dests:
@@ -255,7 +246,7 @@ def _search(g, k, max_states, smask, tmask=None, budget=None, whole_level=False)
             for u in toks:
                 b = ball[u]
                 if b is None:
-                    b = _cached_ball(g, u, k)
+                    b = ball[u] = _ball(g, u, k)
                 dests = b & (free | adj[u] & alone)
                 if not dests:
                     continue
@@ -431,40 +422,42 @@ def exists_within(g, s, t, k, budget, max_states=DEFAULT_STATE_CAP):
     return bool(meets)
 
 
-def validate_sequence(g, seq, k=None):
-    """Replay a move sequence, checking occupancy, distance and independence
-    at every step. Rejection is a value, not an exception.
+def _move_error(g, cur, src, dst, k):
+    """Why the k-Jump move src -> dst from the independent state mask cur is
+    illegal, or None: src must hold a token, dst be free, the pair test
+    dist(src, dst) <= k pass (which caches nothing; only a failing move runs
+    the full `dist`, to name the distance), and N(dst) miss the tokens other
+    than src. GraphError names a dst out of range."""
+    if src == dst:
+        return f"null move at {src}"
+    if src < 0 or not cur >> src & 1:
+        return f"no token on {src}"
+    if dst >= 0 and cur >> dst & 1:
+        return f"vertex {dst} already occupied"
+    # raises GraphError for dst out of range
+    if dist(g, src, dst, k) is None:
+        d = dist(g, src, dst)
+        if d is None:
+            return f"{src} cannot reach {dst}"
+        return f"distance {d} exceeds bound {k}"
+    if g.adj_mask[dst] & cur & ~(1 << src):
+        return f"set not independent after moving {src} to {dst}"
+    return None
 
-    A move passes the distance check when the pair test dist(src, dst) <= k
-    holds, which caches nothing; only a failing move pays for the full
-    `dist`, to name the distance. The set before a move is independent, so
-    the set after it is independent exactly when N(dst) misses the tokens
-    other than src."""
+
+def validate_sequence(g, seq, k=None):
+    """Replay a move sequence, checking each move with `_move_error`.
+    Rejection is a value, not an exception."""
     if k is None:
         k = seq.k
     if not is_independent(g, seq.start):
         return ValidationReport(False, None, "start set is not independent")
-    adj = g.adj_mask
     cur = _to_mask(seq.start)
     for i, (src, dst) in enumerate(seq.moves):
-        if src == dst:
-            return ValidationReport(False, i, f"null move at {src}")
-        if src < 0 or not cur >> src & 1:
-            return ValidationReport(False, i, f"no token on {src}")
-        if dst >= 0 and cur >> dst & 1:
-            return ValidationReport(False, i, f"vertex {dst} already occupied")
-        # raises GraphError for dst out of range
-        if dist(g, src, dst, k) is None:
-            d = dist(g, src, dst)
-            if d is None:
-                return ValidationReport(False, i, f"{src} cannot reach {dst}")
-            return ValidationReport(False, i, f"distance {d} exceeds bound {k}")
-        cur ^= 1 << src
-        if adj[dst] & cur:
-            return ValidationReport(
-                False, i, f"set not independent after moving {src} to {dst}"
-            )
-        cur |= 1 << dst
+        reason = _move_error(g, cur, src, dst, k)
+        if reason:
+            return ValidationReport(False, i, reason)
+        cur ^= 1 << src | 1 << dst
     return ValidationReport(True)
 
 

@@ -52,7 +52,7 @@ class Graph:
         self.labels = dict(labels) if labels else {}
         self._pairs = pairs
         self._adj = self._edges = None
-        self._balls = {}  # k -> per-vertex k-ball masks, see engine._cached_ball
+        self._balls = {}  # k -> per-vertex k-ball masks, see engine._ball_table
 
     @property
     def adj(self):
@@ -226,7 +226,6 @@ class Cluster:
 
     u_side: frozenset
     v_side: frozenset
-    edges: frozenset
     vmin: int | None
     nbhd: frozenset
 
@@ -268,7 +267,7 @@ def _find_obstruction(g):
     C = N(u) & N(v), the first a that has a non-neighbour b > a in C gives
     (u, a, v, b); only the v that share a neighbour with u are tried. 2K2:
     for the edges (a, b) in sorted order, the first later edge (c, d) with
-    both ends outside N[a] | N[b]. C5: a brute-force fallback, since a graph
+    both ends outside N[a] | N[b]. C5: the fallback `_find_c5`, since a graph
     with neither of the others that is not split contains one."""
     adj = g.adj_mask
     for u in range(g.n):
@@ -295,15 +294,30 @@ def _find_obstruction(g):
                 ds = adj[c] & free & ~((2 << c) - 1)
                 if ds:
                     return ("2K2", (a, b, c, _low_bit(ds)))
-    # C5: brute force over 5-cycles.
-    from itertools import combinations
+    c5 = _find_c5(g)
+    return ("C5", c5) if c5 else None
 
-    for vs in combinations(range(g.n), 5):
-        sub = [(x, y) for x, y in combinations(vs, 2) if g.has_edge(x, y)]
-        if len(sub) != 5:
-            continue
-        if all(sum(1 for e in sub if v in e) == 2 for v in vs):
-            return ("C5", vs)
+
+def _find_c5(g):
+    """The smallest sorted 5-tuple of vertices that induces a C5, or None.
+
+    For each v0 in ascending order, the C5s whose smallest vertex is v0 are
+    v0-a-c-d-b with a < b non-adjacent neighbours of v0 and c, d outside
+    N[v0], all above v0, where a misses d and b misses c; the first v0 that
+    has one gives the smallest tuple among them."""
+    adj = g.adj_mask
+    for v0 in range(g.n):
+        above = ((1 << g.n) - 1) & ~((2 << v0) - 1)
+        out = above & ~adj[v0]  # above v0, outside N[v0]
+        cycles = [
+            tuple(sorted((v0, a, b, c, d)))
+            for a in _bits(adj[v0] & above)
+            for b in _bits(adj[v0] & ~adj[a] & ~((2 << a) - 1))
+            for c in _bits(adj[a] & out & ~adj[b])
+            for d in _bits(adj[c] & adj[b] & out & ~adj[a])
+        ]
+        if cycles:
+            return min(cycles)
     return None
 
 
@@ -375,18 +389,15 @@ def _decompose(g, kpart, ipart):
                     members.append(w)
         u_side = frozenset(x for x in members if x in ipart)
         v_side = frozenset(x for x in members if x in kpart)
-        ce = frozenset(
-            (min(x, w), max(x, w)) for x in members for w in bip_adj[x]
-        )
         if v_side:
             vmin = min(v_side, key=lambda x: (len(bip_adj[x]), x))
             nbhd = frozenset(bip_adj[vmin])
         else:
             vmin, nbhd = None, frozenset()
-        clusters.append(Cluster(u_side, v_side, ce, vmin, nbhd))
+        clusters.append(Cluster(u_side, v_side, vmin, nbhd))
     if pseudo:
         clusters.append(
-            Cluster(frozenset(), frozenset(pseudo), frozenset(), min(pseudo), frozenset())
+            Cluster(frozenset(), frozenset(pseudo), min(pseudo), frozenset())
         )
     order = sorted(range(len(clusters)), key=lambda i: (len(clusters[i].nbhd), i))
     return SplitDecomposition(kpart, ipart, tuple(clusters[i] for i in order))
@@ -519,7 +530,8 @@ def graph_from_json(data):
 
 
 def parse_edgelist(text):
-    """DIMACS-like edge list: 'p edge n m' header, 'e u v' lines, 1-indexed."""
+    """DIMACS-like edge list: 'p edge n m' header, 'e u v' lines, 1-indexed.
+    Errors name the line and the file's own ids."""
     n = None
     edges = []
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -528,21 +540,34 @@ def parse_edgelist(text):
             continue
         parts = line.split()
         if parts[0] == "p":
-            if len(parts) < 4 or parts[1] not in ("edge", "edges"):
+            if len(parts) < 4 or parts[1] not in ("edge", "edges") or not _is_int(parts[2]):
                 raise GraphError(f"malformed header at line {lineno}: {line!r}")
             n = int(parts[2])
         elif parts[0] == "e":
             if n is None:
                 raise GraphError("edge line before 'p edge' header")
-            if len(parts) < 3:
+            if len(parts) < 3 or not (_is_int(parts[1]) and _is_int(parts[2])):
                 raise GraphError(f"malformed edge at line {lineno}: {line!r}")
             u, v = int(parts[1]), int(parts[2])
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise GraphError(
+                    f"edge endpoint out of range 1..{n} at line {lineno}: {line!r}"
+                )
             edges.append((u - 1, v - 1))
         else:
             raise GraphError(f"unrecognized line {lineno}: {line!r}")
     if n is None:
         raise GraphError("missing 'p edge' header")
     return build_graph(n, edges)
+
+
+def _is_int(field):
+    """int(field) succeeds."""
+    try:
+        int(field)
+    except ValueError:
+        return False
+    return True
 
 
 def parse_graph(text, fmt="json"):

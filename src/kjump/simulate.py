@@ -8,22 +8,18 @@ w, and that token jumps to v (within distance k) before the original token
 continues into u'.
 
 Each generated move is checked once, as `_emit` appends it, against one
-running state mask; the start set is checked on entry, so the output is a
-valid k-Jump sequence by induction.
+running state mask, by the validator's own move check `_move_error`; the
+input sequence is validated on entry, so the output is a valid k-Jump
+sequence by induction. Whether a jump is long is the validator's pair test
+dist(u, v) <= k too, so the compiler keeps nothing on the graph.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .graph import GraphError, is_independent
-from .engine import (
-    Move,
-    MoveSequence,
-    _cached_ball,
-    _to_mask,
-    validate_sequence,
-)
+from .graph import GraphError, dist
+from .engine import Move, MoveSequence, _move_error, _to_mask, validate_sequence
 
 
 class SimulationError(RuntimeError):
@@ -48,19 +44,16 @@ def _step(g, cur, u, v, k, out):
     stops, and the path is the one a fresh BFS from u to v would give; w is
     the (k-1)-th ancestor of v on it."""
     adj = g.adj_mask
-    ball = _cached_ball(g, u, k)
     parent = {u: u}
     queue = deque([u])
     pending = []  # final jumps (w, v), the innermost last
-    while not ball >> v & 1:
-        while v not in parent and queue:
+    while dist(g, u, v, k) is None:
+        while v not in parent:
             x = queue.popleft()
             for y in g.adj[x]:
                 if y not in parent:
                     parent[y] = x
                     queue.append(y)
-        if v not in parent:
-            raise GraphError(f"{u} cannot reach {v}")
         w = v
         for _ in range(k - 1):
             w = parent[w]
@@ -83,52 +76,35 @@ def _step(g, cur, u, v, k, out):
 def _emit(g, cur, src, dst, k, out):
     """Append the move src -> dst after checking it against the state mask
     cur, which is independent; returns the state after the move."""
-    if not cur >> src & 1 or cur >> dst & 1 or not _cached_ball(g, src, k) >> dst & 1:
-        raise SimulationError(f"illegal generated move {src} -> {dst}")
-    cur ^= 1 << src
-    if g.adj_mask[dst] & cur:
-        raise SimulationError(f"generated move {src} -> {dst} breaks independence")
+    reason = _move_error(g, cur, src, dst, k)
+    if reason:
+        raise SimulationError(f"illegal generated move: {reason}")
     out.append(Move(src, dst))
-    return cur | 1 << dst
-
-
-def _compile(g, start, moves, k):
-    """Expand the TJ moves one after another from the independent set start,
-    stepping a single state mask; each expansion must end on the set the TJ
-    move itself reaches."""
-    cur = _to_mask(start)
-    out = []
-    for u, v in moves:
-        want = cur ^ 1 << u | 1 << v
-        cur = _step(g, cur, u, v, k, out)
-        if cur != want:
-            raise SimulationError(f"expansion of {u} -> {v} ends on the wrong set")
-    return MoveSequence(frozenset(start), tuple(out), k)
+    return cur ^ (1 << src | 1 << dst)
 
 
 def simulate_move(g, c, u, v, k):
     """Expand the single jump u -> v on configuration c into a valid k-Jump
-    sequence with the same final set, for k >= 3."""
-    if k < 3:
-        raise GraphError("simulation requires k >= 3")
-    c = frozenset(c)
-    if not is_independent(g, c):
-        raise GraphError("configuration is not independent")
-    if u not in c:
-        raise GraphError(f"no token on {u}")
-    if v in c:
-        raise GraphError(f"vertex {v} already occupied")
-    if not is_independent(g, c - {u} | {v}):
-        raise GraphError(f"move {u} -> {v} does not preserve independence")
-    return _compile(g, c, [(u, v)], k)
+    sequence with the same final set, for k >= 3: `simulate_sequence` on
+    the one-move TJ sequence, at a bound n that no distance reaches."""
+    return simulate_sequence(g, MoveSequence(frozenset(c), (Move(u, v),), g.n), k)
 
 
 def simulate_sequence(g, seq, k):
-    """Expand every move of a TJ-valid sequence independently, yielding a
-    k-Jump sequence with identical start and end configurations."""
+    """Expand the moves of a TJ-valid sequence one after another, yielding a
+    k-Jump sequence with identical start and end configurations. A single
+    state mask steps through every expansion, which must end on the set the
+    TJ move itself reaches."""
     if k < 3:
         raise GraphError("simulation requires k >= 3")
     report = validate_sequence(g, seq, seq.k)
     if not report:
         raise GraphError(f"input sequence invalid at step {report.step}: {report.reason}")
-    return _compile(g, seq.start, seq.moves, k)
+    cur = _to_mask(seq.start)
+    out = []
+    for u, v in seq.moves:
+        want = cur ^ 1 << u | 1 << v
+        cur = _step(g, cur, u, v, k, out)
+        if cur != want:
+            raise SimulationError(f"expansion of {u} -> {v} ends on the wrong set")
+    return MoveSequence(frozenset(seq.start), tuple(out), k)

@@ -332,7 +332,14 @@ def naive_find_obstruction(g):
                 continue
             if not any(g.has_edge(x, y) for x in (a, b) for y in (c, d)):
                 return ("2K2", (a, b, c, d))
-    # C5: brute force over 5-cycles.
+    vs = naive_find_c5(g)
+    return ("C5", vs) if vs else None
+
+
+def naive_find_c5(g):
+    """The first 5-subset in lexicographic order that induces a C5: the
+    brute-force scan `graph._find_c5` replaced, kept verbatim as its
+    reference."""
     from itertools import combinations
 
     for vs in combinations(range(g.n), 5):
@@ -340,7 +347,7 @@ def naive_find_obstruction(g):
         if len(sub) != 5:
             continue
         if all(sum(1 for e in sub if v in e) == 2 for v in vs):
-            return ("C5", vs)
+            return vs
     return None
 
 

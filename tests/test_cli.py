@@ -90,6 +90,24 @@ def test_recognize_edgelist_short_edge_line(tmp_path):
         assert json.loads(line)["error"].startswith(f"malformed edge at line {lineno}:")
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("p edge 3 1\ne 0 1\n", "edge endpoint out of range 1..3 at line 2: 'e 0 1'"),
+        ("p edge 3 1\ne 1 4\n", "edge endpoint out of range 1..3 at line 2: 'e 1 4'"),
+        ("c x\np edge 3 1\ne 1 x\n", "malformed edge at line 3: 'e 1 x'"),
+        ("p edge x 1\n", "malformed header at line 1: 'p edge x 1'"),
+    ],
+)
+def test_recognize_edgelist_bad_field_is_exit_two(tmp_path, capsys, text, error):
+    # a non-integer field or an endpoint outside 1..n is named by its line
+    # and the file's own 1-based ids
+    code = run(["recognize", write(tmp_path, "g.col", text), "--format", "edgelist"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": error}
+
+
 def test_decide_and_shortest(tmp_path, capsys):
     g = path_graph(4)
     inst = instance_file(tmp_path, g, {0}, {3}, 2)

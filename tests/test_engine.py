@@ -15,7 +15,7 @@ from kjump.engine import (
     Move,
     MoveSequence,
     ResourceExhausted,
-    _cached_ball,
+    _to_mask,
     decide,
     exists_within,
     k_adjacent,
@@ -29,6 +29,7 @@ from kjump.engine import (
 )
 from kjump.graph import GraphError, build_graph, diameter, dist
 from kjump.reduction import CnfFormula, build_instance
+from kjump.simulate import SimulationError, _emit
 
 from conftest import (
     atlas_graphs,
@@ -239,12 +240,12 @@ def test_validate_occupancy_and_independence():
     assert not r and "null move" in r.reason
 
 
-def test_validate_matches_naive_replay():
-    # Random graphs with isolated vertices and several components, random
-    # starts (some not independent) and random moves, so that every failure
-    # kind shows up, at the first step and later ones.
+def _random_replays():
+    """3,000 seeded (g, start, moves, k): random graphs with isolated
+    vertices and several components, random starts (some not independent)
+    and random moves, so that every failure kind shows up, at the first step
+    and later ones."""
     rng = random.Random(31)
-    kinds = collections.Counter()
     for _ in range(3000):
         n = rng.randint(1, 10)
         g = build_graph(
@@ -260,13 +261,18 @@ def test_validate_matches_naive_replay():
             dst = rng.randrange(n)
             moves.append((src, dst))
             cur = cur - {src} | {dst}
-        k = rng.randint(1, 4)
+        yield g, start, moves, rng.randint(1, 4)
+
+
+def test_validate_matches_naive_replay():
+    kinds = collections.Counter()
+    for g, start, moves, k in _random_replays():
         want = naive_validate(g, start, moves, k)
         report = validate_sequence(g, seq(start, moves, k), k)  # pair tests
         assert (report.ok, report.step, report.reason) == want
-        for v in range(n):
-            _cached_ball(g, v, k)
-        report = validate_sequence(g, seq(start, moves, k), k)  # cached balls
+        for v in range(g.n):  # a search fills the graph's k-balls
+            successors(g, {v}, k)
+        report = validate_sequence(g, seq(start, moves, k), k)  # balls cached
         assert (report.ok, report.step, report.reason) == want
         kinds[re.sub(r"[\d-]+", "#", want[2] or "valid")] += 1
     assert set(kinds) == {
@@ -282,13 +288,40 @@ def test_validate_matches_naive_replay():
     assert min(kinds.values()) >= 20, kinds
 
 
+def test_emit_matches_validate_sequence():
+    # the compiler's _emit and validate_sequence share one move check: over
+    # the same seeded moves from an independent start, _emit raises with
+    # exactly the reason the validator reports, at the same step, and
+    # passes exactly the moves before it
+    rejected = 0
+    for g, start, moves, k in _random_replays():
+        report = validate_sequence(g, seq(start, moves, k), k)
+        if not report and report.step is None:
+            continue  # start not independent: _emit assumes an independent state
+        cur, out = _to_mask(start), []
+        for i, (src, dst) in enumerate(moves):
+            try:
+                cur = _emit(g, cur, src, dst, k, out)
+            except SimulationError as exc:
+                assert (i, str(exc)) == (
+                    report.step,
+                    f"illegal generated move: {report.reason}",
+                )
+                rejected += 1
+                break
+        else:
+            assert report.ok
+        assert out == [Move(*m) for m in moves[: len(out)]]
+    assert rejected >= 1000
+
+
 def test_validate_vertex_out_of_range():
     g = path_graph(4)
     for _ in range(2):  # by pair test, then with the 2-ball of 0 cached
         for dst in (4, 9, -1, -7):
             with pytest.raises(GraphError, match="out of range"):
                 validate_sequence(g, seq({0}, [(0, dst)], 2), 2)
-        _cached_ball(g, 0, 2)
+        successors(g, {0}, 2)
     for src in (-1, 9):
         report = validate_sequence(g, seq({0}, [(src, 2)], 2), 2)
         assert (report.step, report.reason) == (0, f"no token on {src}")
@@ -310,8 +343,7 @@ def test_validate_runs_one_pair_test_per_move(monkeypatch):
     pair_tests = [(g, 0, 3, 3), (g, 10, 13, 3), (g, 3, 6, 3)]
     assert validate_sequence(g, s)
     assert calls == pair_tests
-    for v in (0, 10, 3):
-        _cached_ball(g, v, 3)
+    successors(g, {0, 10, 3}, 3)  # a search fills the k-balls of the movers
     calls.clear()
     assert validate_sequence(g, s)
     assert calls == pair_tests

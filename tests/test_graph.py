@@ -2,6 +2,7 @@ import collections
 import itertools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from kjump.graph import (
     GraphError,
     NotSplitError,
     _degree_partition,
+    _find_c5,
     _find_obstruction,
     build_graph,
     diameter,
@@ -45,6 +47,7 @@ from conftest import (
     naive_chordal,
     naive_diameter,
     naive_dist,
+    naive_find_c5,
     naive_find_obstruction,
     naive_graph_lists,
     naive_is_peo,
@@ -420,6 +423,42 @@ def test_find_obstruction_matches_naive_scan():
     assert kinds["C4"] >= 300 and kinds["2K2"] >= 50
 
 
+def test_find_c5_matches_naive_scan():
+    # the same smallest induced C5 as the 5-subset scan it replaced, on every
+    # atlas graph in its own labelling and one seeded relabelling; the
+    # non-split graphs with no C4 or 2K2 reach it from _find_obstruction
+    rng = random.Random(163)
+    kinds = collections.Counter()
+    for g in atlas_graphs(7):
+        ids = list(range(g.n))
+        rng.shuffle(ids)
+        h = build_graph(g.n, [(ids[u], ids[v]) for u, v in g.edges])
+        for x in (g, h):
+            c5 = _find_c5(x)
+            assert c5 == naive_find_c5(x), sorted(x.edges)
+            kinds["C5" if c5 else "none"] += 1
+            if _degree_partition(x) is None and _find_obstruction(x)[0] == "C5":
+                assert _find_obstruction(x) == ("C5", c5)
+                kinds["fallback"] += 1
+    assert kinds == {"none": 2214, "C5": 290, "fallback": 14}
+
+
+def test_c5_fallback_on_large_clique_join():
+    # K_r joined to a C5 (numbered last) has no induced C4 or 2K2, so
+    # recognition reaches the C5 fallback; the 5-subset scan took 5.4 s at
+    # r = 40
+    r = 95
+    cycle = [r + i for i in range(5)]
+    edges = [(u, v) for u in range(r) for v in range(u + 1, r + 5)]
+    edges += [(cycle[i], cycle[i + 1]) for i in range(4)] + [(cycle[0], cycle[4])]
+    g = build_graph(r + 5, edges)
+    t0 = time.process_time()
+    with pytest.raises(NotSplitError) as exc:
+        recognize_split(g)
+    assert time.process_time() - t0 < 1.0
+    assert exc.value.witness == ("C5", tuple(cycle))
+
+
 # ---------------------------------------------------------------------------
 # chordality
 
@@ -568,6 +607,16 @@ def test_parse_edgelist_errors():
         parse_edgelist("e 1 2\n")
     with pytest.raises(GraphError, match="unrecognized"):
         parse_edgelist("p edge 2 1\nx 1 2\n")
+    for text, error in [
+        ("p edge 3 1\ne 0 1\n", "edge endpoint out of range 1..3 at line 2: 'e 0 1'"),
+        ("p edge 3 2\ne 1 2\ne 3 -1\n", "edge endpoint out of range 1..3 at line 3: 'e 3 -1'"),
+        ("p edge 3 1\ne 1 x\n", "malformed edge at line 2: 'e 1 x'"),
+        ("p edge 3 1\ne 2.0 1\n", "malformed edge at line 2: 'e 2.0 1'"),
+        ("c\np edge x 1\n", "malformed header at line 2: 'p edge x 1'"),
+    ]:
+        with pytest.raises(GraphError) as exc:
+            parse_edgelist(text)
+        assert str(exc.value) == error
 
 
 def test_parse_graph_dispatch():

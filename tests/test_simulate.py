@@ -4,7 +4,7 @@ import time
 import pytest
 
 from kjump import engine, simulate
-from kjump.engine import Move, MoveSequence, _cached_ball, _to_mask, validate_sequence
+from kjump.engine import Move, MoveSequence, _ball, _to_mask, validate_sequence
 from kjump.generators import random_independent_set
 from kjump.graph import GraphError, build_graph, diameter, dist, is_independent
 from kjump.reduction import build_instance
@@ -67,7 +67,7 @@ def test_preconditions():
         simulate_move(g, {1}, 0, 4, 3)
     with pytest.raises(GraphError, match="occupied"):
         simulate_move(g, {0, 4}, 0, 4, 3)
-    with pytest.raises(GraphError, match="independence"):
+    with pytest.raises(GraphError, match="not independent"):
         simulate_move(g, {0, 4}, 0, 3, 3)
     with pytest.raises(GraphError, match="independent"):
         simulate_move(g, {0, 1}, 0, 3, 3)
@@ -77,19 +77,19 @@ def test_preconditions():
 
 def test_emit_rejects_each_illegal_move():
     # _emit is the one check of a generated move: src holds a token, dst is
-    # free and in src's k-ball, and the set stays independent.
+    # free and within distance k of src, and the set stays independent.
     g = path_graph(8)
     cur = _to_mask({0, 4})
-    for src, dst, why in [
-        (1, 3, "illegal"),  # no token on 1
-        (0, 4, "illegal"),  # 4 already occupied
-        (0, 0, "illegal"),  # null move: dst occupied
-        (0, 7, "illegal"),  # distance 7 > 3
-        (0, 9, "illegal"),  # not a vertex
-        (0, 3, "independence"),  # 3 is adjacent to the token on 4
+    for src, dst, error, why in [
+        (1, 3, SimulationError, "illegal"),  # no token on 1
+        (0, 4, SimulationError, "illegal"),  # 4 already occupied
+        (0, 0, SimulationError, "illegal"),  # null move
+        (0, 7, SimulationError, "illegal"),  # distance 7 > 3
+        (0, 9, GraphError, "out of range"),  # not a vertex
+        (0, 3, SimulationError, "not independent"),  # 3 is adjacent to 4
     ]:
         out = []
-        with pytest.raises(SimulationError, match=why):
+        with pytest.raises(error, match=why):
             _emit(g, cur, src, dst, 3, out)
         assert out == []
     out = []
@@ -97,9 +97,22 @@ def test_emit_rejects_each_illegal_move():
     assert out == [Move(0, 2)]
 
 
+def test_compiler_leaves_no_balls_on_the_graph():
+    # the compiler tests distances by pair test, so it keeps no k-balls on
+    # the graph; only the search does
+    g = path_graph(12)
+    assert len(simulate_move(g, {0, 5}, 0, 11, 3)) > 1
+    seq = MoveSequence(frozenset({0, 11}), (Move(0, 9), Move(11, 2)), 11)
+    assert len(simulate_sequence(g, seq, 3)) > 2
+    assert g._balls == {}
+    engine.decide(g, {0}, {11}, 3)
+    assert g._balls
+
+
 def test_wrong_step_state_is_caught(monkeypatch):
-    # _compile compares the state mask after each expansion with the set the
-    # TJ move reaches, so a _step that ends on another set cannot go unseen.
+    # simulate_sequence compares the state mask after each expansion with
+    # the set the TJ move reaches, so a _step that ends on another set
+    # cannot go unseen.
     g = path_graph(8)
     step = simulate._step
 
@@ -121,7 +134,8 @@ def _reference_moves(g, c, u, v, k):
     cur = _to_mask(c)
     adj = g.adj_mask
     pending = []
-    while not _cached_ball(g, u, k) >> v & 1:
+    ball = _ball(g, u, k)
+    while not ball >> v & 1:
         path = naive_shortest_path(g, u, v)
         w = path[len(path) - k]
         occupied = cur >> w & 1

@@ -186,7 +186,7 @@ def test_condition_two_case_form():
     # two-case statement: kappa = 1 when |N_i| = 1, kappa = 2 when larger.
     def dec_with(ub, n0, ni):
         def cluster(k):
-            return Cluster(frozenset(), frozenset(), frozenset(), None, frozenset(range(k)))
+            return Cluster(frozenset(), frozenset(), None, frozenset(range(k)))
 
         return SplitDecomposition(
             frozenset(), frozenset(range(ub)), (cluster(n0), cluster(ni))
