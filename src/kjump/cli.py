@@ -37,12 +37,9 @@ def _read(path):
         return fh.read()
 
 
-def _load_graph(path, fmt):
-    return parse_graph(_read(path), fmt)
-
-
 def _load_instance(path):
-    data = json_object(json.loads(_read(path)), "instance")
+    keys = ("graph", "start", "target", "k")
+    data = json_object(json.loads(_read(path)), "instance", keys)
     return (
         graph_from_json(data["graph"]),
         frozenset(json_ints(data["start"], "start")),
@@ -56,7 +53,7 @@ def _emit(payload):
 
 
 def _cmd_recognize(args):
-    g = _load_graph(args.graph, args.format)
+    g = parse_graph(_read(args.graph), args.format)
     report = {"n": g.n, "edges": g.m, "connected": is_connected(g)}
     try:
         dec = recognize_split(g)
@@ -122,7 +119,7 @@ def _cmd_decide2(args):
 
 
 def _cmd_simulate(args):
-    g = _load_graph(args.graph, args.format)
+    g = parse_graph(_read(args.graph), args.format)
     seq = engine.sequence_from_json(json.loads(_read(args.sequence)))
     out = simulate.simulate_sequence(g, seq, args.k)
     _emit({"k": args.k, "length": len(out), "sequence": engine.sequence_to_json(out)})

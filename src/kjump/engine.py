@@ -14,6 +14,7 @@ from .graph import (
     GraphError,
     _bits,
     _neighbourhood,
+    _reach,
     _to_mask,
     dist,
     is_independent,
@@ -111,14 +112,7 @@ def k_adjacent(g, a, b, k):
 def _ball(g, u, k):
     """Mask of the vertices v != u with dist(u, v) <= k, by a bitmask BFS cut
     off at depth k."""
-    adj = g.adj_mask
-    seen = front = 1 << u
-    depth = 0
-    while front and depth < k:
-        front = _neighbourhood(adj, front) & ~seen
-        seen |= front
-        depth += 1
-    return seen ^ (1 << u)
+    return _reach(g.adj_mask, 1 << u, k) ^ (1 << u)
 
 
 def _ball_table(g, k):
@@ -584,7 +578,7 @@ def sequence_to_json(seq):
 
 
 def sequence_from_json(data):
-    json_object(data, "sequence")
+    json_object(data, "sequence", ("start", "moves", "k"))
     return MoveSequence(
         frozenset(json_ints(data["start"], "start")),
         tuple(Move(a, b) for a, b in json_pairs(data["moves"], "moves")),

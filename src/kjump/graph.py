@@ -28,8 +28,8 @@ class Graph:
     The adjacency masks (bit w of adj_mask[v] set iff vw is an edge) are the
     only structure built up front, and the kernels read them. The sorted
     neighbour tuples `adj` and the edge set `edges` are built on first use,
-    in O(n + m) from the validated edge list, not from the masks: taking
-    the bits out of n-bit masks costs O(n) per edge on sparse graphs."""
+    in O(n + m) from `_edge_list`, not from the masks: taking the bits out
+    of n-bit masks costs O(n) per edge on sparse graphs."""
 
     __slots__ = ("n", "m", "adj_mask", "labels", "_pairs", "_adj", "_edges", "_balls")
 
@@ -50,7 +50,7 @@ class Graph:
         self.m = len(pairs)
         self.adj_mask = tuple(masks)
         self.labels = dict(labels) if labels else {}
-        self._pairs = pairs
+        self._pairs = pairs if n > 64 else None
         self._adj = self._edges = None
         self._balls = {}  # k -> per-vertex k-ball masks, see engine._ball_table
 
@@ -59,7 +59,7 @@ class Graph:
         """Sorted neighbour tuples by vertex."""
         if self._adj is None:
             lists = [[] for _ in range(self.n)]
-            for u, v in self._pairs:
+            for u, v in self._edge_list():
                 lists[u].append(v)
                 lists[v].append(u)
             self._adj = tuple(tuple(sorted(ns)) for ns in lists)
@@ -69,8 +69,17 @@ class Graph:
     def edges(self):
         """The edges as (low, high) pairs."""
         if self._edges is None:
-            self._edges = frozenset((u, v) if u < v else (v, u) for u, v in self._pairs)
+            pairs = self._edge_list()
+            self._edges = frozenset((u, v) if u < v else (v, u) for u, v in pairs)
         return self._edges
+
+    def _edge_list(self):
+        """The validated edge list. On at most 64 vertices, where each mask is
+        a machine word, the pairs are read off the masks instead, so a small
+        graph holds on to none of the caller's pair objects."""
+        if self._pairs is not None:
+            return self._pairs
+        return [(u, v) for u, m in enumerate(self.adj_mask) for v in _bits(m >> u << u)]
 
     def degree(self, v):
         return self.adj_mask[v].bit_count()
@@ -148,15 +157,19 @@ def dist(g, u, v, limit=None):
     return None
 
 
-def is_connected(g):
-    if g.n <= 1:
-        return True
-    adj = g.adj_mask
-    seen = front = 1
-    while front:
+def _reach(adj, start, radius=-1):
+    """The vertices within `radius` hops of the set bits of start, as a
+    mask, by a mask BFS; a negative radius sets no limit."""
+    seen = front = start
+    while front and radius:
         front = _neighbourhood(adj, front) & ~seen
         seen |= front
-    return seen == (1 << g.n) - 1
+        radius -= 1
+    return seen
+
+
+def is_connected(g):
+    return g.n <= 1 or _reach(g.adj_mask, 1) == (1 << g.n) - 1
 
 
 def diameter(g):
@@ -365,42 +378,27 @@ def _is_clique(g, vs):
 
 
 def _decompose(g, kpart, ipart):
+    """Clusters: components of bip[v] = adj[v] & (the other part), by a mask
+    BFS from the lowest unvisited vertex, then one pseudo-cluster of the
+    clique vertices with no bip neighbour; stably sorted by |nbhd|."""
     adj, imask = g.adj_mask, _to_mask(ipart)
     kmask = ((1 << g.n) - 1) & ~imask
-    bip_adj = {
-        v: _bits(adj[v] & (kmask if imask >> v & 1 else imask)) for v in range(g.n)
-    }
-    comp = [None] * g.n
+    bip = [adj[v] & (kmask if imask >> v & 1 else imask) for v in range(g.n)]
+    pseudo = _to_mask(v for v in kpart if not bip[v])
+    unseen = ((1 << g.n) - 1) & ~pseudo
     clusters = []
-    pseudo = sorted(v for v in kpart if not bip_adj[v])
-    for v in range(g.n):
-        if comp[v] is not None or v in pseudo:
-            continue
-        cid = len(clusters)
-        comp[v] = cid
-        stack = [v]
-        members = [v]
-        while stack:
-            x = stack.pop()
-            for w in bip_adj[x]:
-                if comp[w] is None:
-                    comp[w] = cid
-                    stack.append(w)
-                    members.append(w)
-        u_side = frozenset(x for x in members if x in ipart)
-        v_side = frozenset(x for x in members if x in kpart)
-        if v_side:
-            vmin = min(v_side, key=lambda x: (len(bip_adj[x]), x))
-            nbhd = frozenset(bip_adj[vmin])
-        else:
-            vmin, nbhd = None, frozenset()
-        clusters.append(Cluster(u_side, v_side, vmin, nbhd))
+    while unseen:
+        comp = _reach(bip, unseen & -unseen)
+        unseen &= ~comp
+        u_side, v_side = frozenset(_bits(comp & imask)), _bits(comp & kmask)
+        vmin = min(v_side, key=lambda x: (bip[x].bit_count(), x), default=None)
+        nbhd = frozenset(_bits(bip[vmin])) if v_side else frozenset()
+        clusters.append(Cluster(u_side, frozenset(v_side), vmin, nbhd))
     if pseudo:
-        clusters.append(
-            Cluster(frozenset(), frozenset(pseudo), min(pseudo), frozenset())
-        )
-    order = sorted(range(len(clusters)), key=lambda i: (len(clusters[i].nbhd), i))
-    return SplitDecomposition(kpart, ipart, tuple(clusters[i] for i in order))
+        pv = _bits(pseudo)
+        clusters.append(Cluster(frozenset(), frozenset(pv), pv[0], frozenset()))
+    clusters.sort(key=lambda c: len(c.nbhd))
+    return SplitDecomposition(kpart, ipart, tuple(clusters))
 
 
 # ---------------------------------------------------------------------------
@@ -484,10 +482,14 @@ def graph_to_json(g):
     return out
 
 
-def json_object(data, what):
-    """data, which must be a JSON object; GraphError otherwise."""
+def json_object(data, what, keys=()):
+    """data, which must be a JSON object holding every key in keys;
+    GraphError, naming the document and the key, otherwise."""
     if not isinstance(data, dict):
         raise GraphError(f"{what} must be a JSON object, got {data!r}")
+    for key in keys:
+        if key not in data:
+            raise GraphError(f"{what} is missing key {key!r}")
     return data
 
 
@@ -521,7 +523,7 @@ def json_pairs(data, what):
 
 
 def graph_from_json(data):
-    json_object(data, "graph")
+    json_object(data, "graph", ("n", "edges"))
     labels = None
     if "labels" in data:
         labels = {int(k): v for k, v in json_object(data["labels"], "labels").items()}
@@ -534,6 +536,7 @@ def parse_edgelist(text):
     Errors name the line and the file's own ids."""
     n = None
     edges = []
+    seen = set()  # edges as (low, high)
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("c"):
@@ -553,6 +556,11 @@ def parse_edgelist(text):
                 raise GraphError(
                     f"edge endpoint out of range 1..{n} at line {lineno}: {line!r}"
                 )
+            key = (min(u, v), max(u, v))
+            if u == v or key in seen:
+                what = "self-loop" if u == v else "duplicate edge"
+                raise GraphError(f"{what} at line {lineno}: {line!r}")
+            seen.add(key)
             edges.append((u - 1, v - 1))
         else:
             raise GraphError(f"unrecognized line {lineno}: {line!r}")

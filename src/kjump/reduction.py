@@ -320,8 +320,9 @@ def instance_to_json(inst):
 
 
 def instance_from_json(data):
-    json_object(data, "instance")
-    formula = json_object(data["formula"], "formula")
+    keys = ("graph", "start", "target", "k", "labelMap", "formula")
+    json_object(data, "reduction instance", keys)
+    formula = json_object(data["formula"], "formula", ("numVars", "clauses"))
     num_vars = json_int(formula["numVars"], "numVars")
     clauses = []
     for cl in json_list(formula["clauses"], "clauses"):

@@ -99,7 +99,8 @@ def simulate_sequence(g, seq, k):
         raise GraphError("simulation requires k >= 3")
     report = validate_sequence(g, seq, seq.k)
     if not report:
-        raise GraphError(f"input sequence invalid at step {report.step}: {report.reason}")
+        at = "" if report.step is None else f" at step {report.step}"
+        raise GraphError(f"input sequence invalid{at}: {report.reason}")
     cur = _to_mask(seq.start)
     out = []
     for u, v in seq.moves:

@@ -4,8 +4,9 @@ graphs.
 Configurations are first normalized to "typical" form (no token on the
 clique), then compared purely through their per-cluster token counts: cluster
 slack against the minimum clique-side neighborhood |N_i| classifies clusters
-as Free, Pseudo-free or Bound, frozen distributions are detected, and the
-remaining cases reduce to a counting condition on |U^B|.
+as Free, Pseudo-free or Bound, once per distribution; a distribution is
+frozen exactly when none of its clusters is freeable, and the remaining
+cases reduce to a counting condition on |U^B|.
 """
 
 from __future__ import annotations
@@ -20,12 +21,6 @@ class ClusterKind(enum.Enum):
     FREE = "free"
     PSEUDO_FREE = "pseudo-free"
     BOUND = "bound"
-
-
-@dataclass(frozen=True)
-class ClusterClass:
-    kind: ClusterKind
-    full: bool
 
 
 @dataclass
@@ -61,68 +56,45 @@ def distribution(dec, config):
 
 
 def classify(dec, d):
-    """Cluster classes from slack = |U_i| - count_i versus |N_i|."""
+    """Cluster kinds from slack = |U_i| - count_i versus |N_i|."""
     out = []
     for c, cnt in zip(dec.clusters, d):
         slack = len(c.u_side) - cnt
         if slack >= c.n_size:
-            kind = ClusterKind.FREE
+            out.append(ClusterKind.FREE)
         elif slack == c.n_size - 1:
-            kind = ClusterKind.PSEUDO_FREE
+            out.append(ClusterKind.PSEUDO_FREE)
         else:
-            kind = ClusterKind.BOUND
-        out.append(ClusterClass(kind, cnt == len(c.u_side)))
+            out.append(ClusterKind.BOUND)
     return out
-
-
-def is_frozen(dec, d):
-    """Distribution cannot change: all clusters Bound, or no Free cluster and
-    every Pseudo-free cluster sees only full clusters elsewhere."""
-    classes = classify(dec, d)
-    kinds = [c.kind for c in classes]
-    if all(k is ClusterKind.BOUND for k in kinds):
-        return True
-    if any(k is ClusterKind.FREE for k in kinds):
-        return False
-    pf = [i for i, k in enumerate(kinds) if k is ClusterKind.PSEUDO_FREE]
-    if not pf:
-        return False
-    return all(
-        classes[j].full for i in pf for j in range(len(classes)) if j != i
-    )
 
 
 def freeable_set(dec, d):
-    """Clusters already Free plus Pseudo-free clusters that can shed one token
-    into some other cluster's empty slot (checked at distribution level)."""
-    if is_frozen(dec, d):
-        raise GraphError("freeable_set on a frozen distribution")
-    classes = classify(dec, d)
-    out = set()
-    for i, cls in enumerate(classes):
-        if cls.kind is ClusterKind.FREE:
-            out.add(i)
-        elif cls.kind is ClusterKind.PSEUDO_FREE:
-            if any(
-                d[j] < len(dec.clusters[j].u_side)
-                for j in range(len(d))
-                if j != i
-            ):
-                out.add(i)
-    return out
+    """Clusters already Free plus Pseudo-free clusters that can shed a token
+    into an empty slot of another cluster, from one classification pass.
+    Empty exactly when d is frozen (all clusters Bound, or no Free cluster
+    and every Pseudo-free one seeing only full clusters elsewhere): either
+    case leaves nothing freeable, and an empty set has no Free cluster and
+    only Pseudo-free clusters that see full ones, or none, so all Bound."""
+    open_ = {i for i, (c, cnt) in enumerate(zip(dec.clusters, d)) if cnt < len(c.u_side)}
+    return {
+        i
+        for i, kind in enumerate(classify(dec, d))
+        if kind is ClusterKind.FREE or (kind is ClusterKind.PSEUDO_FREE and open_ - {i})
+    }
+
+
+def is_frozen(dec, d):
+    """The distribution cannot change: no cluster is freeable."""
+    return not freeable_set(dec, d)
 
 
 def condition(dec, size, i):
     """Counting condition: some kappa in {0,1,2} with |N_i| >= kappa and
-    |U^B| >= size + |N_i| + |N_0| - kappa."""
-    ub = len(dec.indep_part)
+    |U^B| >= size + |N_i| + |N_0| - kappa. A larger kappa only lowers the
+    bound, so the largest one allowed, min(|N_i|, 2), decides."""
     ni = dec.clusters[i].n_size
-    n0 = dec.clusters[0].n_size
-    return any(ni >= kp and ub >= size + ni + n0 - kp for kp in (0, 1, 2))
-
-
-def _best_index(dec, indices):
-    return min(indices, key=lambda i: (dec.clusters[i].n_size, i))
+    return len(dec.indep_part) >= size + ni + dec.clusters[0].n_size - min(ni, 2)
 
 
 def decide2(g, s, t, dec=None):
@@ -152,11 +124,8 @@ def decide2(g, s, t, dec=None):
     if dec is None:
         dec = recognize_split(g)  # raises NotSplitError on non-split input
     if iso:
-        dec = replace(
-            dec,
-            indep_part=dec.indep_part - iso,
-            clusters=tuple(c for c in dec.clusters if c.v_side),
-        )
+        clusters = tuple(c for c in dec.clusters if c.v_side)
+        dec = replace(dec, indep_part=dec.indep_part - iso, clusters=clusters)
     if len(s) > len(dec.indep_part):
         trace.append("more tokens than independent-part vertices: always yes")
         return Decision(True, trace)
@@ -165,7 +134,8 @@ def decide2(g, s, t, dec=None):
     t = normalize_typical(g, dec, t)
     ds, dt = distribution(dec, s), distribution(dec, t)
 
-    if is_frozen(dec, ds) or is_frozen(dec, dt):
+    fs, ft = freeable_set(dec, ds), freeable_set(dec, dt)
+    if not fs or not ft:  # frozen
         ok = ds == dt
         trace.append(
             "frozen distribution: reconfigurable iff distributions match"
@@ -173,15 +143,14 @@ def decide2(g, s, t, dec=None):
         )
         return Decision(ok, trace)
 
-    fs, ft = freeable_set(dec, ds), freeable_set(dec, dt)
     common = fs & ft
     if common:
         trace.append(f"common free(able) cluster {sorted(common)}: yes")
         return Decision(True, trace)
 
-    i_s, i_t = _best_index(dec, fs), _best_index(dec, ft)
-    cs = condition(dec, len(s), i_s)
-    ct = condition(dec, len(t), i_t)
+    # clusters ascend by |N_i|, so the lowest index has the smallest |N_i|
+    i_s, i_t = min(fs), min(ft)
+    cs, ct = condition(dec, len(s), i_s), condition(dec, len(t), i_t)
     trace.append(
         f"counting condition on clusters {i_s}/{i_t}: "
         f"{'holds' if cs else 'fails'}/{'holds' if ct else 'fails'}"

@@ -351,6 +351,75 @@ def naive_find_c5(g):
     return None
 
 
+def naive_decompose(g, kpart, ipart):
+    """Clusters of a split partition by a DFS over neighbour lists: the
+    list-based `graph._decompose` that the mask BFS replaced, kept verbatim
+    as its reference."""
+    from kjump.graph import Cluster, SplitDecomposition, _bits, _to_mask
+
+    adj, imask = g.adj_mask, _to_mask(ipart)
+    kmask = ((1 << g.n) - 1) & ~imask
+    bip_adj = {
+        v: _bits(adj[v] & (kmask if imask >> v & 1 else imask)) for v in range(g.n)
+    }
+    comp = [None] * g.n
+    clusters = []
+    pseudo = sorted(v for v in kpart if not bip_adj[v])
+    for v in range(g.n):
+        if comp[v] is not None or v in pseudo:
+            continue
+        cid = len(clusters)
+        comp[v] = cid
+        stack = [v]
+        members = [v]
+        while stack:
+            x = stack.pop()
+            for w in bip_adj[x]:
+                if comp[w] is None:
+                    comp[w] = cid
+                    stack.append(w)
+                    members.append(w)
+        u_side = frozenset(x for x in members if x in ipart)
+        v_side = frozenset(x for x in members if x in kpart)
+        if v_side:
+            vmin = min(v_side, key=lambda x: (len(bip_adj[x]), x))
+            nbhd = frozenset(bip_adj[vmin])
+        else:
+            vmin, nbhd = None, frozenset()
+        clusters.append(Cluster(u_side, v_side, vmin, nbhd))
+    if pseudo:
+        clusters.append(
+            Cluster(frozenset(), frozenset(pseudo), min(pseudo), frozenset())
+        )
+    order = sorted(range(len(clusters)), key=lambda i: (len(clusters[i].nbhd), i))
+    return SplitDecomposition(kpart, ipart, tuple(clusters[i] for i in order))
+
+
+def naive_is_frozen(dec, d):
+    """The frozen rule as the paper states it, with its own classification:
+    all clusters Bound, or no Free cluster and every Pseudo-free cluster sees
+    only full clusters elsewhere. The rule `split2.is_frozen` applied before
+    it became "no freeable cluster", kept as its reference."""
+    kinds, full = [], []
+    for c, cnt in zip(dec.clusters, d):
+        slack = len(c.u_side) - cnt
+        if slack >= c.n_size:
+            kinds.append("free")
+        elif slack == c.n_size - 1:
+            kinds.append("pseudo-free")
+        else:
+            kinds.append("bound")
+        full.append(cnt == len(c.u_side))
+    if all(k == "bound" for k in kinds):
+        return True
+    if "free" in kinds:
+        return False
+    pf = [i for i, k in enumerate(kinds) if k == "pseudo-free"]
+    if not pf:
+        return False
+    return all(full[j] for i in pf for j in range(len(kinds)) if j != i)
+
+
 def naive_chordal(g):
     """No induced cycle of length >= 4; brute force, fine up to n ~ 9."""
     for size in range(4, g.n + 1):

@@ -97,11 +97,13 @@ def test_recognize_edgelist_short_edge_line(tmp_path):
         ("p edge 3 1\ne 1 4\n", "edge endpoint out of range 1..3 at line 2: 'e 1 4'"),
         ("c x\np edge 3 1\ne 1 x\n", "malformed edge at line 3: 'e 1 x'"),
         ("p edge x 1\n", "malformed header at line 1: 'p edge x 1'"),
+        ("p edge 3 2\ne 1 1\n", "self-loop at line 2: 'e 1 1'"),
+        ("p edge 3 2\ne 1 2\nc x\ne 2 1\n", "duplicate edge at line 4: 'e 2 1'"),
     ],
 )
 def test_recognize_edgelist_bad_field_is_exit_two(tmp_path, capsys, text, error):
-    # a non-integer field or an endpoint outside 1..n is named by its line
-    # and the file's own 1-based ids
+    # a non-integer field, an endpoint outside 1..n, a self-loop or a
+    # repeated edge is named by its line and the file's own 1-based ids
     code = run(["recognize", write(tmp_path, "g.col", text), "--format", "edgelist"])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
@@ -278,6 +280,20 @@ def _reduced_instance():
     return reduction.instance_to_json(reduction.build_instance(phi, 3))
 
 
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+MISSING_KEY_CASES = [
+    ("recognize", {"n": 3}),
+    ("decide", _without(GOOD_INSTANCE, "start")),
+    ("decide2", {**GOOD_INSTANCE, "graph": _without(GOOD_GRAPH, "n")}),
+    ("verify-sequence", _without(GOOD_SEQUENCE, "start")),
+    ("stats", _without(_reduced_instance(), "labelMap")),
+    ("stats", {**_reduced_instance(), "formula": {"numVars": 3}}),
+]
+
+
 @pytest.mark.parametrize(
     "command, doc",
     [
@@ -299,9 +315,18 @@ def _reduced_instance():
         ("stats", {**_reduced_instance(), "formula": {"numVars": 3, "clauses": [[1, 2, 9]]}}),
         ("stats", {**_reduced_instance(), "labelMap": {"0": [1]}}),
         ("stats", {**_reduced_instance(), "start": {"0": 1}}),
+        *MISSING_KEY_CASES,
     ],
 )
 def test_bad_json_shape_is_exit_two(tmp_path, capsys, command, doc):
+    code, err = _run_on_doc(tmp_path, capsys, command, doc)
+    assert code == 2
+    assert set(err) == {"error"}
+    assert not re.fullmatch(r"'\w+'", err["error"])  # a bare key names no document
+
+
+def _run_on_doc(tmp_path, capsys, command, doc):
+    """Exit code and stderr JSON of command on doc; nothing on stdout."""
     if command == "verify-sequence":
         inst = write(tmp_path, "i.json", GOOD_INSTANCE)
         argv = ["verify", inst, write(tmp_path, "s.json", doc)]
@@ -309,8 +334,35 @@ def test_bad_json_shape_is_exit_two(tmp_path, capsys, command, doc):
         argv = [command, write(tmp_path, "i.json", doc)]
     code = run(argv)
     out, err = capsys.readouterr()
+    assert out == ""
+    return code, json.loads(err)
+
+
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        (MISSING_KEY_CASES[0], "graph is missing key 'edges'"),
+        (MISSING_KEY_CASES[1], "instance is missing key 'start'"),
+        (MISSING_KEY_CASES[2], "graph is missing key 'n'"),
+        (MISSING_KEY_CASES[3], "sequence is missing key 'start'"),
+        (MISSING_KEY_CASES[4], "reduction instance is missing key 'labelMap'"),
+        (MISSING_KEY_CASES[5], "formula is missing key 'clauses'"),
+    ],
+)
+def test_missing_json_key_names_document_and_key(tmp_path, capsys, case, error):
+    assert _run_on_doc(tmp_path, capsys, *case) == (2, {"error": error})
+
+
+def test_simulate_dependent_start_is_exit_two(tmp_path, capsys):
+    # a start set that is not independent fails before any step
+    gfile = write(tmp_path, "g.json", graph_to_json(path_graph(3)))
+    sfile = write(tmp_path, "s.json", {"start": [0, 1], "moves": [[1, 2]], "k": 2})
+    code = run(["simulate", gfile, sfile, "--k", "3"])
+    out, err = capsys.readouterr()
     assert code == 2 and out == ""
-    assert set(json.loads(err)) == {"error"}
+    assert json.loads(err) == {
+        "error": "input sequence invalid: start set is not independent"
+    }
 
 
 def test_simulate_long_path_needs_no_recursion(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import collections
+import gc
 import itertools
 import json
 import random
@@ -7,7 +8,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kjump import engine, split2
+from kjump import engine, reduction, split2
 from kjump.graph import (
     Graph,
     GraphError,
@@ -109,7 +110,7 @@ def check_against_list_graph(g, pairs):
     assert g.adj == adj and g.edges == edges
 
 
-def test_mask_graph_matches_list_graph():
+def test_mask_graph_matches_list_graph(monkeypatch):
     # every atlas graph with <= 7 vertices, 2,000 random graphs given as
     # shuffled edge lists with random orientations, and reduction instances
     rng = random.Random(41)
@@ -129,12 +130,37 @@ def test_mask_graph_matches_list_graph():
         rng.shuffle(pairs)
         check_against_list_graph(build_graph(n, pairs), pairs)
         checked["random"] += 1
+    for n in range(60, 70):  # a graph on more than 64 vertices keeps its edge list
+        pairs = [(v, u) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.1]
+        rng.shuffle(pairs)
+        check_against_list_graph(build_graph(n, pairs), pairs)
+        checked["large"] += 1
+    given = []  # the edge lists build_instance passes to build_graph
+
+    def recording(n, edges, labels):
+        given.append(edges)
+        return build_graph(n, edges, labels)
+
+    monkeypatch.setattr(reduction, "build_graph", recording)
     for phi in exhaustive_e3_formulas()[::600]:
         for k in (3, 5):
             g = build_instance(phi, k).graph
-            check_against_list_graph(g, g._pairs)  # the list build_instance gave
+            check_against_list_graph(g, given.pop())
             checked["reduction"] += 1
-    assert checked == {"atlas": len(atlas_graphs(7)), "random": 2000, "reduction": 18}
+    assert checked == {
+        "atlas": len(atlas_graphs(7)), "random": 2000, "large": 10, "reduction": 18
+    }
+
+
+def test_small_graph_holds_no_pair_objects():
+    # on at most 64 vertices a graph keeps no edge list, so it holds on to
+    # none of the caller's pair objects; a larger one keeps the list
+    for n in (2, 64, 65):
+        pairs = [[v, v + 1] for v in range(n - 1)]  # lists, as JSON gives them
+        g = build_graph(n, pairs)
+        referrers = [r for p in pairs for r in gc.get_referrers(p) if r is not pairs]
+        assert (referrers == []) == (n <= 64), n
+        assert [list(e) for e in sorted(g.edges)] == pairs
 
 
 def _outcome(build, n, pairs):

@@ -24,7 +24,15 @@ from kjump.split2 import (
     normalize_typical,
 )
 
-from conftest import independent_sets, naive_decide, path_graph, two_cluster_graph
+from conftest import (
+    brute_split_partitions,
+    independent_sets,
+    naive_decide,
+    naive_decompose,
+    naive_is_frozen,
+    split_graphs_upto,
+    two_cluster_graph,
+)
 
 
 @pytest.fixture(scope="module")
@@ -74,11 +82,12 @@ def test_distribution_examples(two_per_side):
 
 def test_classify_examples(two_per_side):
     g, dec = two_per_side
-    kinds = [c.kind for c in classify(dec, (1, 1))]
-    assert kinds == [ClusterKind.PSEUDO_FREE, ClusterKind.PSEUDO_FREE]
-    classes = classify(dec, (2, 0))
-    assert classes[0].kind is ClusterKind.BOUND and classes[0].full
-    assert classes[1].kind is ClusterKind.FREE and not classes[1].full
+    assert classify(dec, (1, 1)) == [ClusterKind.PSEUDO_FREE, ClusterKind.PSEUDO_FREE]
+    d = (2, 0)
+    kinds = classify(dec, d)
+    caps = [len(c.u_side) for c in dec.clusters]
+    assert kinds[0] is ClusterKind.BOUND and d[0] == caps[0]
+    assert kinds[1] is ClusterKind.FREE and d[1] != caps[1]
 
 
 def test_pseudo_cluster_classified_free():
@@ -88,9 +97,9 @@ def test_pseudo_cluster_classified_free():
     g = build_graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4)])
     dec = _decompose(g, frozenset({0, 1, 2}), frozenset({3, 4}))
     pseudo_idx = next(i for i, c in enumerate(dec.clusters) if not c.u_side)
-    classes = classify(dec, distribution(dec, {3, 4}))
-    assert classes[pseudo_idx].kind is ClusterKind.FREE
-    assert classes[pseudo_idx].full
+    d = distribution(dec, {3, 4})
+    assert classify(dec, d)[pseudo_idx] is ClusterKind.FREE
+    assert d[pseudo_idx] == len(dec.clusters[pseudo_idx].u_side)
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +121,49 @@ def test_not_frozen_with_receiving_slot(two_per_side):
     assert not is_frozen(dec, (1, 1))
 
 
+def _reference_graphs():
+    """Criterion 3's split-graph atlas (<= 8 vertices) and seeded random
+    split graphs of up to 12 vertices."""
+    rng = random.Random(61)
+    return list(split_graphs_upto(8)) + [
+        random_split_graph(rng.randint(1, 12), rng) for _ in range(300)
+    ]
+
+
+def test_decompose_matches_list_reference():
+    # the mask BFS gives the clusters, their order, vmin and nbhd of the
+    # neighbour-list DFS, on every split partition of the atlas graphs and
+    # the canonical one of the random graphs
+    from kjump.graph import _decompose
+
+    checked = 0
+    for g in _reference_graphs():
+        parts = brute_split_partitions(g) if g.n <= 8 else []
+        dec = recognize_split(g)
+        for kpart, ipart in parts + [(dec.clique_part, dec.indep_part)]:
+            got = _decompose(g, kpart, ipart)
+            assert got == naive_decompose(g, kpart, ipart), (g.edges, kpart)
+            checked += 1
+    assert checked > 3000
+
+
+def test_frozen_is_empty_freeable_set():
+    # frozen (the rule as stated) <=> no freeable cluster, on every
+    # distribution of every reference graph's canonical decomposition
+    frozen = thawed = 0
+    for g in _reference_graphs():
+        dec = recognize_split(g)
+        caps = [range(len(c.u_side) + 1) for c in dec.clusters]
+        for d in itertools.product(*caps):
+            expect = naive_is_frozen(dec, d)
+            assert is_frozen(dec, d) == expect == (not freeable_set(dec, d)), (
+                g.edges, d,
+            )
+            frozen += expect
+            thawed += not expect
+    assert frozen > 1000 and thawed > 10000
+
+
 def test_frozen_confirmed_by_oracle(three_per_side):
     g, dec = three_per_side
     start = frozenset({2, 5, 6, 7})  # distribution (1, 3)
@@ -128,9 +180,8 @@ def test_freeable_contains_free_clusters(two_per_side):
     g, dec = two_per_side
     assert 1 in freeable_set(dec, (2, 0)) or 0 in freeable_set(dec, (2, 0))
     free = freeable_set(dec, (2, 0))
-    classes = classify(dec, (2, 0))
-    for i, cls in enumerate(classes):
-        if cls.kind is ClusterKind.FREE:
+    for i, kind in enumerate(classify(dec, (2, 0))):
+        if kind is ClusterKind.FREE:
             assert i in free
 
 
@@ -140,10 +191,10 @@ def test_freeable_pseudo_free_with_slot(two_per_side):
     assert freeable_set(dec, (1, 1)) == {0, 1}
 
 
-def test_freeable_rejects_frozen(two_per_side):
+def test_freeable_empty_on_frozen(two_per_side):
     g, dec = two_per_side
-    with pytest.raises(GraphError, match="frozen"):
-        freeable_set(dec, (2, 2))
+    assert freeable_set(dec, (2, 2)) == set()
+    assert is_frozen(dec, (2, 2))
 
 
 def test_freeable_matches_distribution_level_reclassification():
@@ -157,16 +208,16 @@ def test_freeable_matches_distribution_level_reclassification():
             continue
         got = freeable_set(dec, d)
         expect = set()
-        for i, cls in enumerate(classify(dec, d)):
-            if cls.kind is ClusterKind.FREE:
+        for i, kind in enumerate(classify(dec, d)):
+            if kind is ClusterKind.FREE:
                 expect.add(i)
-            elif cls.kind is ClusterKind.PSEUDO_FREE:
+            elif kind is ClusterKind.PSEUDO_FREE:
                 for j in range(len(d)):
                     if j != i and d[j] < caps[j]:
                         moved = list(d)
                         moved[i] -= 1
                         moved[j] += 1
-                        if classify(dec, tuple(moved))[i].kind is ClusterKind.FREE:
+                        if classify(dec, tuple(moved))[i] is ClusterKind.FREE:
                             expect.add(i)
                             break
         assert got == expect, (g.edges, d)
@@ -298,6 +349,29 @@ def test_decide2_isolated_vertices(monkeypatch):
     assert {"isolated-vertex", "empty", "frozen", "common", "counting"} <= reasons
 
 
+def test_decide2_classifies_each_distribution_once(monkeypatch):
+    # one classification pass per side: a query that reaches the frozen test
+    # calls classify exactly twice, one that stops earlier not at all
+    calls = []
+    real = split2.classify
+    monkeypatch.setattr(split2, "classify", lambda dec, d: calls.append(d) or real(dec, d))
+    rng = random.Random(67)
+    per_query = []
+    for _ in range(400):
+        g = random_split_graph(rng.randint(2, 12), rng)
+        dec = recognize_split(g)
+        size = rng.randint(0, max(1, len(dec.indep_part)))
+        s = random_independent_set(g, size, rng)
+        t = random_independent_set(g, size, rng)
+        if s is None or t is None:
+            continue
+        before = len(calls)
+        decide2(g, s, t, dec)
+        per_query.append(len(calls) - before)
+    assert max(per_query) <= 2
+    assert per_query.count(2) > 200
+
+
 def test_decide2_obstruction_names_vertices_of_g():
     # C4 on 1-2-3-4 with vertex 0 isolated: the witness is in g's numbering
     g = build_graph(5, [(1, 2), (2, 3), (3, 4), (1, 4)])
@@ -343,8 +417,8 @@ def test_blocking_lemma():
         size = rng.randint(0, len(dec.indep_part))
         toks = rng.sample(sorted(dec.indep_part), size)
         d = distribution(dec, toks)
-        for cls, cluster in zip(classify(dec, d), dec.clusters):
-            if cls.kind is ClusterKind.FREE:
+        for kind, cluster in zip(classify(dec, d), dec.clusters):
+            if kind is ClusterKind.FREE:
                 continue
             for v in cluster.v_side:
                 assert any(w in set(toks) for w in g.adj[v]), (g.edges, toks)
