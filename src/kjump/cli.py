@@ -284,7 +284,7 @@ def run(argv=None):
     except engine.ResourceExhausted as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 3
-    except (GraphError, reduction.CnfError, ValueError, OSError, KeyError) as exc:
+    except (GraphError, reduction.CnfError, ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 

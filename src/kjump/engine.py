@@ -6,6 +6,7 @@ matching-based lower bound on sequence length.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Set
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -462,46 +463,70 @@ def lower_bound_moves(g, s, t, k):
     """Minimum-cost perfect matching between start and target vertices with
     per-pair cost ceil(dist / k); a valid lower bound on sequence length since
     every token must end on some target vertex. Returns None when some token
-    cannot reach any target in every matching (unbounded marker)."""
-    _check_pair(g, s, t, k)
-    svs, tvs = sorted(set(s)), sorted(set(t))
-    r = len(svs)
-    if r == 0:
-        return 0
-    # cost rows by bitmask BFS from each start vertex: a level is the OR of
-    # the adjacency masks of the one before, and a row stops growing once
-    # every target is hit or the component is exhausted
+    cannot reach any target in every matching (unbounded marker).
+
+    Row i grows by a bitmask BFS from the i-th start vertex: a level is the
+    OR of the adjacency masks of the one before, and the row stops once
+    every target is met or the component is exhausted."""
+    bound = _MatchingBound(g, s, t, k)
     adj = g.adj_mask
-    col = {v: j for j, v in enumerate(tvs)}
-    tmask = _to_mask(tvs)
-    table = []
-    for u in svs:
-        row = [_UNREACHABLE] * r
+    for i, u in enumerate(bound.starts):
         seen = front = 1 << u
-        left = tmask
         d = 0
-        while front:
-            hit = front & left
-            if hit:
-                c = -(-d // k)
-                for v in _bits(hit):
-                    row[col[v]] = c
-                left ^= hit
-                if not left:
-                    break
+        while bound.meet(i, d, seen):
             front = _neighbourhood(adj, front) & ~seen
+            if not front:
+                break
             seen |= front
             d += 1
-        table.append(row)
-    total = _min_cost_matching(table)
-    if total >= _UNREACHABLE:
-        return None
-    return total
+    return bound.total()
+
+
+class _MatchingBound:
+    """The cost table of `lower_bound_moves`, filled from distance levels.
+    Entry (i, j) is ceil(d / k) for the least d with the j-th target vertex
+    within distance d of the i-th start vertex (both ascending), and
+    _UNREACHABLE while there is none. `meet` takes the levels of one row in
+    ascending d, from any source and with the rows in any order, so the
+    per-row BFS and one run of `ball_levels` fill the same table."""
+
+    def __init__(self, g, s, t, k):
+        _check_pair(g, s, t, k)
+        self.starts = sorted(set(s))
+        tvs = sorted(set(t))
+        r = len(tvs)
+        self._k = k
+        self._col = {v: j for j, v in enumerate(tvs)}
+        self._left = [_to_mask(tvs)] * r  # targets row i has not met
+        # int32 rows, half the size of lists of ints: every cost is at most
+        # n or _UNREACHABLE = 10**9 < 2**31
+        self._rows = [array("i", [_UNREACHABLE]) * r for _ in range(r)]
+
+    def meet(self, i, d, ball):
+        """Give the targets in ball, the vertices within distance d of the
+        i-th start vertex, that row i has not met the cost ceil(d / k).
+        True while row i has targets left."""
+        left = self._left[i]
+        hit = ball & left
+        if hit:
+            left ^= hit
+            self._left[i] = left
+            c = -(-d // self._k)
+            row, col = self._rows[i], self._col
+            for v in _bits(hit):
+                row[col[v]] = c
+        return left != 0
+
+    def total(self):
+        """The minimum matching cost, or None when every matching pairs some
+        start with a target it never met."""
+        total = _min_cost_matching(self._rows)
+        return None if total >= _UNREACHABLE else total
 
 
 def _min_cost_matching(cost):
     """Total cost of a minimum-cost perfect matching of the square integer
-    matrix cost (a list of rows), by shortest augmenting paths with dual
+    matrix cost (a sequence of rows), by shortest augmenting paths with dual
     potentials u (rows) and v (columns), kept feasible (cost[i][j] >= u[i] +
     v[j]) with equality on every matched pair.
 

@@ -18,8 +18,8 @@ from . import engine
 from .graph import (
     GraphError,
     _to_mask,
+    ball_levels,
     build_graph,
-    diameter,
     graph_from_json,
     json_int,
     json_ints,
@@ -27,7 +27,7 @@ from .graph import (
     json_object,
     verify_peo,
 )
-from .engine import Move, MoveSequence, lower_bound_moves
+from .engine import Move, MoveSequence
 
 
 class CnfError(ValueError):
@@ -109,7 +109,12 @@ class ReductionInstance:
     formula: CnfFormula
 
     def vertex(self, label):
-        return self._index()[label]
+        try:
+            return self._index()[label]
+        except KeyError:
+            raise GraphError(
+                f"reduction instance's labelMap has no vertex labelled {label!r}"
+            ) from None
 
     def _index(self):
         idx = getattr(self, "_rev", None)
@@ -288,16 +293,26 @@ class InstanceStats:
 
 def instance_stats(inst):
     g = inst.graph
-    try:
-        diam = diameter(g)
-    except GraphError:  # empty or disconnected
-        diam = None
     # verify_peo raises unless the order is a permutation of the vertices,
     # so True means g has a perfect elimination ordering: g is chordal, and
     # find_peo's LexBFS could not fail on it. False is final either way.
     chordal = verify_peo(g, peo_order(inst))
-    bound = lower_bound_moves(g, inst.start, inst.target, inst.k)
+    diam, bound = diameter_and_bound(g, inst.start, inst.target, inst.k)
     return InstanceStats(g.n, len(inst.start), diam, chordal, bound)
+
+
+def diameter_and_bound(g, s, t, k):
+    """The diameter of g (None when g is empty or disconnected) and
+    `lower_bound_moves(g, s, t, k)`, from one run of `ball_levels`: the
+    bound's row for a start vertex u meets its targets in the balls of u."""
+    bound = engine._MatchingBound(g, s, t, k)
+    d = balls = None
+    for d, balls in enumerate(ball_levels(g)):
+        for i, u in enumerate(bound.starts):
+            bound.meet(i, d, balls[u])
+    if balls is None or balls[0] != (1 << g.n) - 1:
+        d = None
+    return d, bound.total()
 
 
 def instance_to_json(inst):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .graph import GraphError, dist
+from .graph import GraphError, _bits, dist
 from .engine import Move, MoveSequence, _move_error, _to_mask, validate_sequence
 
 
@@ -39,21 +39,23 @@ def _step(g, cur, u, v, k, out):
 
     u stays fixed, so every iteration reads its shortest u-v path from one
     BFS parent tree rooted at u, grown only until the current v is
-    discovered. Neighbours are scanned in ascending order and each vertex
-    keeps its first discoverer, so a parent never depends on where the BFS
-    stops, and the path is the one a fresh BFS from u to v would give; w is
-    the (k-1)-th ancestor of v on it."""
+    discovered. A vertex x discovers the bits of adj[x] & unseen in
+    ascending order and each vertex keeps its first discoverer, so a parent
+    never depends on where the BFS stops, and the path is the one a fresh
+    BFS from u to v would give; w is the (k-1)-th ancestor of v on it."""
     adj = g.adj_mask
     parent = {u: u}
     queue = deque([u])
+    unseen = ((1 << g.n) - 1) ^ (1 << u)
     pending = []  # final jumps (w, v), the innermost last
     while dist(g, u, v, k) is None:
         while v not in parent:
             x = queue.popleft()
-            for y in g.adj[x]:
-                if y not in parent:
-                    parent[y] = x
-                    queue.append(y)
+            new = adj[x] & unseen
+            unseen ^= new
+            ys = _bits(new)
+            parent.update(dict.fromkeys(ys, x))
+            queue.extend(ys)
         w = v
         for _ in range(k - 1):
             w = parent[w]

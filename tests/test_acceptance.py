@@ -29,6 +29,7 @@ from kjump.reduction import (
     CnfFormula,
     assignment_to_sequence,
     build_instance,
+    diameter_and_bound,
     peo_order,
     sequence_to_assignment,
 )
@@ -262,6 +263,9 @@ def test_criterion_4_reduction_quantities(capsys, e3_corpus):
             assert dists.max() <= 2 * k + 1
             assert lower_bound_moves(inst.graph, inst.start, inst.target, k) \
                 == 2 * (m + n)
+            # `kjump stats` reads both from one run of ball levels
+            assert diameter_and_bound(inst.graph, inst.start, inst.target, k) \
+                == (int(dists.max()), 2 * (m + n))
             seq = assignment_to_sequence(inst, bits)
             assert len(seq) == 2 * (m + n)
             assert validate_sequence(inst.graph, seq, k)

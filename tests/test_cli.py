@@ -353,6 +353,38 @@ def test_missing_json_key_names_document_and_key(tmp_path, capsys, case, error):
     assert _run_on_doc(tmp_path, capsys, *case) == (2, {"error": error})
 
 
+def test_missing_gadget_label_names_label_and_document(tmp_path, capsys):
+    # the labelMap is read only when a gadget vertex is looked up by label
+    doc = _reduced_instance()
+    doc["labelMap"] = {
+        v: lab for v, lab in doc["labelMap"].items() if not lab.startswith("s:0:")
+    }
+    inst = write(tmp_path, "i.json", doc)
+    error = "reduction instance's labelMap has no vertex labelled 's:0:0'"
+    for argv in (["witness", inst, "--assignment", "100"], ["stats", inst]):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err) == {"error": error}
+
+
+@pytest.mark.parametrize(
+    "edges, error",
+    [
+        (5, "edges must be a JSON list, got 5"),
+        ([0, 1], "edges must hold pairs of integers, got 0"),
+        ([[0, 1], [1]], "edges must hold pairs of integers, got [1]"),
+        ([[0, 1.0]], "edges must hold pairs of integers, got [0, 1.0]"),
+        ([[0, True]], "edges must hold pairs of integers, got [0, True]"),
+        ([["0", 1]], "edges must hold pairs of integers, got ['0', 1]"),
+        ([{"a": 0, "b": 1}], "edges must hold pairs of integers, got {'a': 0, 'b': 1}"),
+        ([[0, 3]], "edge endpoint out of range: (0, 3)"),
+    ],
+)
+def test_bad_edge_names_the_edge(tmp_path, capsys, edges, error):
+    doc = {**GOOD_INSTANCE, "graph": {"n": 3, "edges": edges}}
+    assert _run_on_doc(tmp_path, capsys, "decide", doc) == (2, {"error": error})
+
+
 def test_simulate_dependent_start_is_exit_two(tmp_path, capsys):
     # a start set that is not independent fails before any step
     gfile = write(tmp_path, "g.json", graph_to_json(path_graph(3)))

@@ -28,7 +28,7 @@ from kjump.engine import (
     validate_sequence,
 )
 from kjump.graph import GraphError, build_graph, diameter, dist
-from kjump.reduction import CnfFormula, build_instance
+from kjump.reduction import CnfFormula, build_instance, diameter_and_bound
 from kjump.simulate import SimulationError, _emit
 
 from conftest import (
@@ -36,6 +36,7 @@ from conftest import (
     cycle_graph,
     independent_sets,
     naive_decide,
+    naive_diameter,
     naive_dist,
     naive_is_independent,
     naive_reachable,
@@ -421,26 +422,33 @@ def _naive_lower_bound(g, s, t, k):
 def test_lower_bound_matches_naive_costs():
     # connected graphs (long paths and cycles among them, so that distances
     # reach several levels), disjoint unions of two and graphs with isolated
-    # vertices, so that some pairs can only be matched across components
+    # vertices, so that some pairs can only be matched across components;
+    # the per-row BFS of lower_bound_moves and the one run of ball levels
+    # behind `kjump stats`, which also gives the diameter, fill the same table
     graphs = random_graphs(20, 9, seed=89) + random_graphs(10, 14, seed=92)
     graphs += [path_graph(12), cycle_graph(13)]
     halves = random_graphs(20, 5, seed=90)
     graphs += [_disjoint_union(a, b) for a, b in zip(halves[::2], halves[1::2])]
     graphs += [_with_isolated(g, 2) for g in random_graphs(10, 6, seed=91)]
     unbounded = bounded = 0
+    connected = collections.Counter()
     for g in graphs:
+        diam = naive_diameter(g)
+        connected[diam is not None] += 1
         sets = independent_sets(g, 4)
         rng = random.Random(g.n * 13 + len(g.edges))
         for _ in range(10):
             s, t = rng.choice(sets), rng.choice(sets)
             if len(s) != len(t):
                 continue
-            for k in (1, 2, 3):
+            for k in (1, 2, 3, 5):
                 want = _naive_lower_bound(g, s, t, k)
                 assert lower_bound_moves(g, s, t, k) == want
+                assert diameter_and_bound(g, s, t, k) == (diam, want)
                 unbounded += want is None
                 bounded += want is not None
     assert unbounded >= 40 and bounded >= 400
+    assert min(connected.values()) >= 20
 
 
 def _scipy_matching_total(cost):

@@ -31,6 +31,7 @@ from kjump.graph import (
     verify_peo,
 )
 from kjump.generators import random_pair, random_split_graph
+from kjump.simulate import simulate_move, simulate_sequence
 from kjump.reduction import (
     assignment_to_sequence,
     build_instance,
@@ -658,11 +659,11 @@ def test_parse_graph_dispatch():
 
 def test_timed_paths_never_build_lazy_forms(monkeypatch):
     # The oracle, decide2 with a passed decomposition, recognition, the
-    # lower bound, validation, the reduction pipeline and serialization all
-    # run on adjacency masks. Building `adj` or `edges` on one of these paths
-    # would move construction cost back into every query. simulate's
-    # parent-tree BFS and diameter's ball recurrence walk neighbour lists,
-    # so they read adj and are left out.
+    # lower bound, validation, the compiler, the reduction pipeline with its
+    # stats and serialization all run on adjacency masks (the ball levels of
+    # diameter and stats keep their own neighbour arrays). Building `adj` or
+    # `edges` on one of these paths would move construction cost back into
+    # every query.
     def lazy(self):
         raise AssertionError("a timed path built Graph.adj or Graph.edges")
 
@@ -683,7 +684,7 @@ def test_timed_paths_never_build_lazy_forms(monkeypatch):
         except NotSplitError:
             nonsplit += 1
     assert nonsplit > 5
-    searched = 0
+    searched = compiled = 0
     for g in random_graphs(60, 10, seed=59):
         s, t = random_pair(g, rng, max_size=3)
         for k in (1, 2, 3):
@@ -695,17 +696,25 @@ def test_timed_paths_never_build_lazy_forms(monkeypatch):
             if seq.moves:
                 assert not engine.exists_within(g, s, t, k, len(seq) - 1)
             assert engine.lower_bound_moves(g, s, t, k) <= len(seq)
+            if k == 3:  # TJ moves, so the compiler's BFS runs on the long ones
+                tj = engine.shortest(g, s, t, g.n)
+                out = simulate_sequence(g, tj, 3)
+                assert out.final() == tj.final()
+                compiled += len(out) > len(tj)
             assert engine.validate_sequence(g, seq, k)
             fresh = graph_from_json(graph_to_json(g))  # no cached balls
             assert engine.validate_sequence(fresh, seq, k)
             searched += 1
-    assert searched > 100
+    assert searched > 100 and compiled > 0
+    assert len(simulate_move(path_graph(40), {0, 20}, 0, 39, 3)) > 5
     for phi in exhaustive_e3_formulas()[::900]:
         inst = build_instance(phi, 3)
         instance_to_json(inst)
         assert verify_peo(inst.graph, peo_order(inst))
         bound = engine.lower_bound_moves(inst.graph, inst.start, inst.target, inst.k)
         assert bound is not None
+        stats = reduction.instance_stats(inst)
+        assert stats.lower_bound == bound and stats.diameter == diameter(inst.graph)
         bits = next(
             b for b in itertools.product((False, True), repeat=phi.num_vars)
             if phi.satisfies(b)

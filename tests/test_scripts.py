@@ -1,4 +1,6 @@
+import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -32,3 +34,50 @@ def test_script_runs(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert expect in proc.stdout
+
+
+def test_bench_pair_writes_bench_schema(tmp_path):
+    # a one-commit repository holding what a benchmark run needs, with the
+    # script inside it, so both sides are clean clones of that commit
+    repo = tmp_path / "repo"
+    for part in ("src", "perfbench"):
+        shutil.copytree(
+            os.path.join(ROOT, part), repo / part,
+            ignore=shutil.ignore_patterns("__pycache__", ".perfbench"),
+        )
+    (repo / "scripts").mkdir()
+    shutil.copy(os.path.join(ROOT, "scripts", "bench_pair.py"), repo / "scripts")
+    shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), repo)
+    git = ["git", "-C", str(repo), "-c", "user.name=bench", "-c", "user.email=bench@localhost"]
+    subprocess.run([*git, "init", "--quiet"], check=True)
+    subprocess.run([*git, "add", "."], check=True)
+    subprocess.run([*git, "commit", "--quiet", "-m", "bench base"], check=True)
+    out = tmp_path / "BENCH.json"
+    proc = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "bench_pair.py"), "HEAD",
+         "--workloads", "split-stream", "--seeds", "1", "2", "--seconds", "1",
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert list(doc) == ["what", "machine", "command", "parent", "change", "pairs"]
+    assert doc["what"] == "bench base"
+    assert doc["parent"]["commit"] == doc["change"]["commit"]
+    for side in ("parent", "change"):
+        runs = doc[side]["runs"]["split-stream"]
+        assert sorted(runs) == ["seed_1", "seed_2"]
+        for run in runs.values():
+            assert run["report"]["environment"]["git_sha"] == doc[side]["commit"]
+            assert run["result"]["correct"] is True
+    pair = doc["pairs"]["workloads"]["split-stream"]
+    assert pair["seeds"] == [1, 2] and pair["first"] == ["parent", "change"]
+    assert pair["failed"] == {"parent": 0, "change": 0}
+    assert pair["fingerprints_equal"] is True
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        names = [m["name"] for m in json.load(fh)["end_to_end"]]
+    assert list(pair["metrics"]) == names
+    for m in pair["metrics"].values():
+        assert set(m) == {"better", "parent", "change", "change_wins", "runs"}
+        assert set(m["parent"]) == {"median", "q1", "q3"}
+        assert len(m["runs"]["change"]) == 2 and m["change_wins"].endswith("/2")

@@ -109,6 +109,17 @@ def test_compiler_leaves_no_balls_on_the_graph():
     assert g._balls
 
 
+def test_compiler_builds_no_neighbour_tuples():
+    # the parent tree grows by mask scan, so the compiler never builds the
+    # lazy Graph.adj, which above 64 vertices copies the kept edge list
+    g = path_graph(100)
+    seq = MoveSequence(frozenset({0, 99}), (Move(0, 50), Move(99, 2)), 99)
+    out = simulate_sequence(g, seq, 3)
+    assert len(out) > 2 and out.final() == seq.final()
+    assert validate_sequence(g, out, 3)
+    assert g._adj is None
+
+
 def test_wrong_step_state_is_caught(monkeypatch):
     # simulate_sequence compares the state mask after each expansion with
     # the set the TJ move reaches, so a _step that ends on another set
