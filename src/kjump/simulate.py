@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .graph import GraphError, _bits, dist
+from .graph import GraphError, dist
 from .engine import Move, MoveSequence, _move_error, _to_mask, validate_sequence
 
 
@@ -42,20 +42,29 @@ def _step(g, cur, u, v, k, out):
     discovered. A vertex x discovers the bits of adj[x] & unseen in
     ascending order and each vertex keeps its first discoverer, so a parent
     never depends on where the BFS stops, and the path is the one a fresh
-    BFS from u to v would give; w is the (k-1)-th ancestor of v on it."""
+    BFS from u to v would give; w is the (k-1)-th ancestor of v on it. A
+    vertex the tree holds has its depth there as its distance from u, so
+    only a v outside it takes the pair test dist(u, v) <= k."""
     adj = g.adj_mask
     parent = {u: u}
+    depth = {u: 0}
     queue = deque([u])
     unseen = ((1 << g.n) - 1) ^ (1 << u)
     pending = []  # final jumps (w, v), the innermost last
-    while dist(g, u, v, k) is None:
+    while depth[v] > k if v in depth else dist(g, u, v, k) is None:
         while v not in parent:
             x = queue.popleft()
             new = adj[x] & unseen
-            unseen ^= new
-            ys = _bits(new)
-            parent.update(dict.fromkeys(ys, x))
-            queue.extend(ys)
+            if new:
+                unseen ^= new
+            dy = depth[x] + 1
+            while new:
+                low = new & -new
+                y = low.bit_length() - 1
+                parent[y] = x
+                depth[y] = dy
+                queue.append(y)
+                new ^= low
         w = v
         for _ in range(k - 1):
             w = parent[w]

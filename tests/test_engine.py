@@ -381,6 +381,10 @@ def test_shortest_output_always_validates():
 
 def test_lower_bound_trivial():
     assert lower_bound_moves(path_graph(4), {0, 2}, {0, 2}, 2) == 0
+    # no tokens, or one that stays; the empty graph has no diameter
+    assert lower_bound_moves(path_graph(4), set(), set(), 2) == 0
+    assert diameter_and_bound(build_graph(0, []), set(), set(), 2) == (None, 0)
+    assert diameter_and_bound(build_graph(1, []), {0}, {0}, 2) == (0, 0)
 
 
 def test_lower_bound_c4():
