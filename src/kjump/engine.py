@@ -206,14 +206,15 @@ def _search(g, k, max_states, smask, tmask=None, budget=None, whole_level=False)
 
     Returns (meets, fwd, bwd): the states where the sides met (the first one
     found, or with whole_level=True every meeting state of the level that
-    found one), and the two sides (bwd None without tmask)."""
+    found one), each mapped to its first discoverer on the side that found
+    it, in discovery order, and the two sides (bwd None without tmask)."""
     fwd = _Side(smask)
     if tmask is None:
         bwd, sides = None, [(fwd, {})]
     else:
         bwd = _Side(tmask)
         if smask == tmask:
-            return [smask], fwd, bwd
+            return {smask: None}, fwd, bwd
         sides = [(fwd, bwd.seen), (bwd, fwd.seen)]
     ball = _ball_table(g, k)
     adj = g.adj_mask
@@ -259,8 +260,8 @@ def _search(g, k, max_states, smask, tmask=None, budget=None, whole_level=False)
                         continue
                     if nxt in other:
                         if not whole_level:
-                            return [nxt], fwd, bwd
-                        meets[nxt] = None
+                            return {nxt: cur}, fwd, bwd
+                        meets.setdefault(nxt, cur)
                         continue
                     if held >= max_states:
                         raise ResourceExhausted(
@@ -273,12 +274,12 @@ def _search(g, k, max_states, smask, tmask=None, budget=None, whole_level=False)
                     seen[nxt] = cur
                     nxt_front.append(nxt)
         if meets:
-            return list(meets), fwd, bwd
+            return meets, fwd, bwd
         if not nxt_front:
             break
         side.levels.append(nxt_front)
         depth += 1
-    return [], fwd, bwd
+    return {}, fwd, bwd
 
 
 def _explore(g, s, k, max_states):
@@ -350,7 +351,8 @@ def shortest(g, s, t, k, max_states=DEFAULT_STATE_CAP):
 
     The sequence is the one a one-directional BFS from s returns: moves are
     tried in ascending (src, dst) order and each state keeps the parent that
-    discovered it first. It is found from both ends: see _cone_path."""
+    discovered it first. The search gives its forward half, and a replay of
+    that BFS past the layer where the sides met the rest: see _cone_path."""
     _check_pair(g, s, t, k)
     s = frozenset(s)
     smask, tmask = _to_mask(s), _to_mask(t)
@@ -371,39 +373,36 @@ def _cone_path(g, k, meets, fwd, bwd):
     With forward levels F_0..F_a and backward levels B_0..B_b complete and
     disjoint, the distance is d = a + b + 1, and the meeting states are the
     layer P_m of the cone P_i = {ds = i, dt = d - i}: m = a if the backward
-    side found them in F_a, m = a + 1 if the forward side found them in B_b.
-    P_{i-1} is the set of neighbours of P_i in F_{i-1}; for i > m, P_i is
-    the set of neighbours of P_{i-1} in B_{d-i}. A neighbour at level i - 1
-    of a cone state at level i is in the cone, so replaying the BFS from s
-    on the cone alone gives each cone state the first discoverer it has in
-    the full BFS, and the same path to t."""
-    a, b = len(fwd.levels) - 1, len(bwd.levels) - 1
-    d = a + b + 1
-    m = a if meets[0] in fwd.seen else a + 1
+    side found them in F_a, m = a + 1 if the forward side found them in B_b,
+    first from F_a. F_0..F_a are the one-directional BFS's levels, found in
+    the same order, so `fwd.seen` and, for m = a + 1, `meets` hold the path
+    up to P_m. For i > m, P_i is the set of neighbours of P_{i-1} in
+    B_{d-i}. A neighbour at level i - 1 of a cone state at level i is in the
+    cone, so replaying the BFS from P_m, in its order, on the cone alone
+    gives each later cone state its first discoverer in the full BFS."""
+    beyond = bwd.levels[::-1]  # B_b..B_0
+    if next(iter(meets)) in fwd.seen:  # m = a: P_m in F_a's order
+        layer = [x for x in fwd.levels[-1] if x in meets]
+        parent = {}
+    else:  # m = a + 1: P_m is B_b's part, in discovery order
+        layer = list(meets)
+        parent = dict(meets)
+        beyond = beyond[1:]
     succ = _successor_fn(g, k)
-    # allowed[i] holds P_i; for i > m, B_{d-i}, of which the replay only
-    # reaches the neighbours of P_{i-1}
-    allowed = [None] * (d + 1)
-    allowed[m] = set(meets)
-    for i in range(m - 1, 0, -1):
-        level = set(fwd.levels[i])
-        allowed[i] = {p for x in allowed[i + 1] for p in succ(x) if p in level}
-    for i in range(m + 1, d + 1):
-        allowed[i] = set(bwd.levels[d - i])
-    smask = fwd.levels[0][0]
-    parent = {smask: None}
-    layer = [smask]
-    for i in range(1, d + 1):
+    for level in beyond:
+        level = set(level)
         nxt_layer = []
         for cur in layer:
             for nxt in succ(cur):
-                if nxt in allowed[i] and nxt not in parent:
+                if nxt in level and nxt not in parent:
                     parent[nxt] = cur
                     nxt_layer.append(nxt)
         layer = nxt_layer
-    path = [bwd.levels[0][0]]
-    while path[-1] != smask:
-        path.append(parent[path[-1]])
+    path = []
+    x = bwd.levels[0][0]
+    while x is not None:
+        path.append(x)
+        x = parent[x] if x in parent else fwd.seen[x]
     path.reverse()
     return path
 

@@ -282,7 +282,9 @@ class SplitDecomposition:
 
 
 def _degree_partition(g):
-    """Hammer-Simeone degree test. Returns (clique, indep) or a reason string."""
+    """Hammer-Simeone degree test: (clique, indep), or None when g is not
+    split. With e(.) counting edges, lhs = 2e(K) + e(K, I) and rhs = h(h - 1)
+    + 2e(I) + e(K, I), so lhs = rhs forces K to be a clique and I edgeless."""
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     degs = [g.degree(v) for v in order]
     h = 0
@@ -387,8 +389,6 @@ def recognize_split(g):
         kind, vs = obs if obs else ("unknown", ())
         raise NotSplitError(f"not a split graph: induced {kind} on {vs}", obs)
     kpart, ipart = part
-    if not is_independent(g, ipart) or not _is_clique(g, kpart):
-        raise GraphError("degree partition inconsistency")  # pragma: no cover
     adj, imask = g.adj_mask, _to_mask(ipart)
     movable = [v for v in kpart if not adj[v] & imask]
     if movable:
@@ -396,12 +396,6 @@ def recognize_split(g):
         kpart.discard(y)
         ipart.add(y)
     return _decompose(g, frozenset(kpart), frozenset(ipart))
-
-
-def _is_clique(g, vs):
-    """Every vertex of vs is adjacent to all the others."""
-    adj, m = g.adj_mask, _to_mask(vs)
-    return all(m & ~adj[v] == 1 << v for v in vs)
 
 
 def _decompose(g, kpart, ipart):

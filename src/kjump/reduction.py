@@ -13,10 +13,12 @@ satisfying assignments via the open/closed state of the variable gadgets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import engine
 from .graph import (
     GraphError,
+    _is_int,
     _to_mask,
     ball_levels,
     build_graph,
@@ -68,12 +70,14 @@ def parse_e3cnf(text):
             continue
         parts = line.split()
         if parts[0] == "p":
-            if len(parts) != 4 or parts[1] != "cnf":
+            if len(parts) != 4 or parts[1] != "cnf" or not all(map(_is_int, parts[2:])):
                 raise CnfError(f"malformed header at line {lineno}: {line!r}")
             num_vars, num_clauses = int(parts[2]), int(parts[3])
             continue
         if num_vars is None:
             raise CnfError("clause before 'p cnf' header")
+        if not all(map(_is_int, parts)):
+            raise CnfError(f"malformed literal at line {lineno}: {line!r}")
         for tok in parts:
             lit = int(tok)
             if lit == 0:
@@ -147,10 +151,8 @@ def build_instance(phi, k):
         raise GraphError("reduction requires k >= 3")
     m, n = len(phi.clauses), phi.num_vars
     labels = {}
-    edges = set()
-
-    def add(a, b):
-        edges.add((min(a, b), max(a, b)))
+    edges = []  # the construction makes each edge once
+    add = edges.append
 
     clause_base = [i * (2 * k + 3) for i in range(m)]
     var_base = [m * (2 * k + 3) + j * (k + 2) for j in range(n)]
@@ -162,19 +164,17 @@ def build_instance(phi, k):
         labels[base + 2 * k + 1] = f"k:{i}:0"
         labels[base + 2 * k + 2] = f"k:{i}:2"
         for j in range(2 * k):
-            add(base + j, base + j + 1)
+            add((base + j, base + j + 1))
         for kx in (base + 2 * k + 1, base + 2 * k + 2):
-            add(kx, base + k - 1)
-            add(kx, base + k + 1)
+            add((kx, base + k - 1))
+            add((kx, base + k + 1))
 
     # K = {k_0, k_1 (= v_k), k_2 over all clauses} forms a clique.
     kvs = []
     for i in range(m):
         base = clause_base[i]
         kvs.extend([base + 2 * k + 1, base + k, base + 2 * k + 2])
-    for a in range(len(kvs)):
-        for b in range(a + 1, len(kvs)):
-            add(kvs[a], kvs[b])
+    edges.extend(combinations(kvs, 2))
 
     for j in range(n):
         base = var_base[j]
@@ -183,9 +183,9 @@ def build_instance(phi, k):
         labels[base + k] = f"s:{j}:0"
         labels[base + k + 1] = f"s:{j}:1"
         for x in range(k - 1):
-            add(base + x, base + x + 1)
-        add(base + k, base)
-        add(base + k + 1, base)
+            add((base + x, base + x + 1))
+        add((base + k, base))
+        add((base + k + 1, base))
 
     for i, clause in enumerate(phi.clauses):
         base = clause_base[i]
@@ -193,11 +193,11 @@ def build_instance(phi, k):
         for pos, (var, positive) in enumerate(clause):
             vb = var_base[var]
             s_vertex = vb + k if positive else vb + k + 1
-            add(s_vertex, rho[pos])
-            add(vb, rho[pos])  # t_0 = u_0
+            add((s_vertex, rho[pos]))
+            add((vb, rho[pos]))  # t_0 = u_0
 
     total = m * (2 * k + 3) + n * (k + 2)
-    g = build_graph(total, sorted(edges), labels)
+    g = build_graph(total, edges, labels)
     start = frozenset(
         [clause_base[i] for i in range(m)]
         + [var_base[j] + k for j in range(n)]

@@ -110,6 +110,21 @@ def test_recognize_edgelist_bad_field_is_exit_two(tmp_path, capsys, text, error)
     assert json.loads(err) == {"error": error}
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("p cnf x 1\n", "malformed header at line 1: 'p cnf x 1'"),
+        ("p cnf 3 1\n1 2 y 0\n", "malformed literal at line 2: '1 2 y 0'"),
+        ("p cnf 3 1\n1 2 3.0 0\n", "malformed literal at line 2: '1 2 3.0 0'"),
+    ],
+)
+def test_reduce_cnf_bad_field_is_exit_two(tmp_path, capsys, text, error):
+    code = run(["reduce", write(tmp_path, "f.cnf", text), "--k", "3"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": error}
+
+
 def test_decide_and_shortest(tmp_path, capsys):
     g = path_graph(4)
     inst = instance_file(tmp_path, g, {0}, {3}, 2)

@@ -583,12 +583,54 @@ def test_shortest_moves_match_naive_one_directional():
                     meets, fwd, _ = engine._search(
                         g, k, 10**7, _mask(s), _mask(t), whole_level=True
                     )
-                    meet_in_fwd += meets[0] in fwd.seen
-                    meet_in_bwd += meets[0] not in fwd.seen
+                    first = next(iter(meets))
+                    meet_in_fwd += first in fwd.seen
+                    meet_in_bwd += first not in fwd.seen
                     wide_meets += len(meets) > 1
     # both sides must have found meeting layers, some of several states
     assert compared >= 4000 and unreachable >= 700
     assert meet_in_fwd >= 1000 and meet_in_bwd >= 2500 and wide_meets >= 600
+
+
+def test_shortest_replays_only_past_the_meeting_layer(monkeypatch):
+    # the search loop inlines its successors, so every state expanded
+    # through _successor_fn while `shortest` runs is one _cone_path expands
+    expanded = []
+    successor_fn = engine._successor_fn
+
+    def recording(g, k):
+        succ = successor_fn(g, k)
+
+        def wrapped(cur):
+            expanded.append(cur)
+            return succ(cur)
+
+        return wrapped
+
+    guarded = 0
+    for g, sets, ks in _search_corpus():
+        rng = random.Random(g.n * 11 + len(g.edges))
+        for _ in range(4):
+            s, t = rng.choice(sets), rng.choice(sets)
+            if len(s) != len(t) or s == t:
+                continue
+            for k in ks:
+                meets, fwd, bwd = engine._search(
+                    g, k, 10**7, _mask(s), _mask(t), whole_level=True
+                )
+                if not meets:
+                    continue
+                a = len(fwd.levels) - 1
+                m = a if next(iter(meets)) in fwd.seen else a + 1
+                before = {x for level in fwd.levels[:m] for x in level}
+                expanded.clear()
+                with monkeypatch.context() as mp:
+                    mp.setattr(engine, "_successor_fn", recording)
+                    shortest(g, s, t, k)
+                assert before.isdisjoint(expanded)
+                assert all(x in meets or x in bwd.seen for x in expanded)
+                guarded += m > 0
+    assert guarded >= 3000
 
 
 def test_reachable_configs_cap_matches_naive_search():

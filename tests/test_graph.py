@@ -420,6 +420,38 @@ def test_recognition_agrees_with_forbidden_subgraph_check():
             assert sorted(covered) == sorted(dec.indep_part)
 
 
+def test_degree_partition_parts_are_clique_and_independent():
+    # recognize_split relies on this without checking it: the degree test's
+    # equality forces both parts, whatever the order of equal degrees
+    def check(g):
+        part = _degree_partition(g)
+        if part is None:
+            return 0
+        kpart, ipart = part
+        assert kpart | ipart == set(range(g.n)) and not kpart & ipart
+        assert is_independent(g, ipart)
+        for a, b in itertools.combinations(sorted(kpart), 2):
+            assert g.has_edge(a, b)
+        return 1
+
+    atlas = sum(check(g) for g in atlas_graphs(7))
+    rng = random.Random(157)
+    drawn = 0
+    for _ in range(3000):
+        n = rng.randint(0, 12)
+        p = rng.random()
+        drawn += check(
+            build_graph(
+                n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+            )
+        )
+        g = random_split_graph(n, rng, rng.random())
+        ids = list(range(n))
+        rng.shuffle(ids)
+        drawn += check(build_graph(n, [(ids[u], ids[v]) for u, v in g.edges]))
+    assert atlas == 257 and drawn >= 4500
+
+
 def test_find_obstruction_matches_naive_scan():
     # the same first witness as the pair-and-edge scan it replaced, on every
     # non-split atlas graph, on 500 random non-split graphs and on reduction

@@ -53,6 +53,21 @@ def test_parse_errors():
         parse_e3cnf("p cnf 3 2\n1 2 3 0\n")
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("p cnf x 1\n", "malformed header at line 1: 'p cnf x 1'"),
+        ("p cnf 3 1.0\n", "malformed header at line 1: 'p cnf 3 1.0'"),
+        ("p cnf 3 1\n1 2 y 0\n", "malformed literal at line 2: '1 2 y 0'"),
+        ("c x\np cnf 3 1\n1 2 3.0 0\n", "malformed literal at line 3: '1 2 3.0 0'"),
+    ],
+)
+def test_parse_names_line_of_non_integer_field(text, error):
+    with pytest.raises(CnfError) as exc:
+        parse_e3cnf(text)
+    assert str(exc.value) == error
+
+
 def test_formula_satisfies():
     assert PHI1.satisfies((True, False, False))
     assert not PHI1.satisfies((False, False, True))
