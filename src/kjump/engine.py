@@ -373,10 +373,10 @@ def _cone_path(g, k, meets, fwd, bwd):
     With forward levels F_0..F_a and backward levels B_0..B_b complete and
     disjoint, the distance is d = a + b + 1, and the meeting states are the
     layer P_m of the cone P_i = {ds = i, dt = d - i}: m = a if the backward
-    side found them in F_a, m = a + 1 if the forward side found them in B_b,
-    first from F_a. F_0..F_a are the one-directional BFS's levels, found in
-    the same order, so `fwd.seen` and, for m = a + 1, `meets` hold the path
-    up to P_m. For i > m, P_i is the set of neighbours of P_{i-1} in
+    side found them in F_a, m = a + 1 if the forward side found them in B_b
+    (from F_a). F_0..F_a are the one-directional BFS's levels, found in the
+    same order, so `fwd.seen` and, for m = a + 1, `meets` hold the path up
+    to P_m. For i > m, P_i is the set of neighbours of P_{i-1} in
     B_{d-i}. A neighbour at level i - 1 of a cone state at level i is in the
     cone, so replaying the BFS from P_m, in its order, on the cone alone
     gives each later cone state its first discoverer in the full BFS."""

@@ -70,7 +70,11 @@ def parse_e3cnf(text):
             continue
         parts = line.split()
         if parts[0] == "p":
-            if len(parts) != 4 or parts[1] != "cnf" or not all(map(_is_int, parts[2:])):
+            if num_vars is not None:
+                raise CnfError(f"second header at line {lineno}: {line!r}")
+            if len(parts) != 4 or parts[1] != "cnf" or not all(
+                _is_int(f) and int(f) >= 0 for f in parts[2:]
+            ):
                 raise CnfError(f"malformed header at line {lineno}: {line!r}")
             num_vars, num_clauses = int(parts[2]), int(parts[3])
             continue

@@ -116,6 +116,8 @@ def test_recognize_edgelist_bad_field_is_exit_two(tmp_path, capsys, text, error)
         ("p cnf x 1\n", "malformed header at line 1: 'p cnf x 1'"),
         ("p cnf 3 1\n1 2 y 0\n", "malformed literal at line 2: '1 2 y 0'"),
         ("p cnf 3 1\n1 2 3.0 0\n", "malformed literal at line 2: '1 2 3.0 0'"),
+        # a later header with fewer variables would put earlier clauses out of range
+        ("p cnf 3 1\n1 2 3 0\np cnf 1 1\n", "second header at line 3: 'p cnf 1 1'"),
     ],
 )
 def test_reduce_cnf_bad_field_is_exit_two(tmp_path, capsys, text, error):

@@ -60,9 +60,11 @@ def test_parse_errors():
         ("p cnf 3 1.0\n", "malformed header at line 1: 'p cnf 3 1.0'"),
         ("p cnf 3 1\n1 2 y 0\n", "malformed literal at line 2: '1 2 y 0'"),
         ("c x\np cnf 3 1\n1 2 3.0 0\n", "malformed literal at line 3: '1 2 3.0 0'"),
+        ("p cnf -2 0\n", "malformed header at line 1: 'p cnf -2 0'"),
+        ("p cnf 3 1\n1 2 3 0\np cnf 1 1\n", "second header at line 3: 'p cnf 1 1'"),
     ],
 )
-def test_parse_names_line_of_non_integer_field(text, error):
+def test_parse_names_line_of_bad_field(text, error):
     with pytest.raises(CnfError) as exc:
         parse_e3cnf(text)
     assert str(exc.value) == error
