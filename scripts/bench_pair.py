@@ -10,7 +10,9 @@ workload and seed the two sides run `perfbench/run.py --workload W --seed S
 side goes first alternates from pair to pair. Every run's report and result
 lines are kept, and per metric the file gives each side's median and
 quartiles, how many pairs the change won (ties count for neither) and the
-runs themselves, with whether every pair's fingerprints matched.
+runs themselves, with whether every pair's fingerprints matched. Each side
+also records `src_lines`, the lines of src/**/*.py at its commit, so the
+file carries the net source-line change.
 """
 
 import argparse
@@ -38,6 +40,17 @@ def clone(repo, commit, dest):
     subprocess.run(["git", "clone", "--quiet", repo, dest], check=True)
     _git(dest, "checkout", "--quiet", "--detach", commit)
     return _git(dest, "rev-parse", "HEAD")
+
+
+def src_lines(checkout):
+    """Lines of src/**/*.py in checkout."""
+    total = 0
+    for dirpath, _, files in os.walk(os.path.join(checkout, "src")):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(dirpath, name), "rb") as fh:
+                    total += sum(1 for _ in fh)
+    return total
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -117,6 +130,7 @@ def main(argv=None):
         commits = {
             side: clone(ROOT, getattr(args, side), dirs[side]) for side in SIDES
         }
+        lines = {side: src_lines(dirs[side]) for side in SIDES}
         what = _git(ROOT, "log", "-1", "--format=%s", commits["change"])
         runs = {side: {w: {} for w in args.workloads} for side in SIDES}
         pairs = {}
@@ -154,12 +168,16 @@ def main(argv=None):
             f" {args.seconds} --trace 0, one process per run, each side in its own"
             " clean clone, the side that runs first alternating from pair to pair"
         ),
-        **{side: {"commit": commits[side], "runs": runs[side]} for side in SIDES},
+        **{
+            side: {"commit": commits[side], "src_lines": lines[side], "runs": runs[side]}
+            for side in SIDES
+        },
         "pairs": {"order": "alternating: parent first in odd-numbered pairs", "workloads": pairs},
     }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=False)
         fh.write("\n")
+    print(f"src lines: parent {lines['parent']}, change {lines['change']}")
     for w, pair in pairs.items():
         print(f"{w}: failed {pair['failed']}, fingerprints_equal {pair['fingerprints_equal']}")
         for name, m in pair["metrics"].items():

@@ -6,6 +6,7 @@ matching-based lower bound on sequence length.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections.abc import Set
 from dataclasses import dataclass
@@ -124,55 +125,14 @@ def _ball_table(g, k):
     return table
 
 
-def _free_masks(adj, cur, toks):
-    """(free, alone) for state cur with tokens toks: the vertices neither
-    holding nor adjacent to a token, and the neighbours of exactly one
-    token. A token on u may land on ball[u] & (free | adj[u] & alone), the
-    vertices outside the closed neighbourhood of the other tokens."""
-    once = twice = 0
-    for u in toks:
-        nb = adj[u]
-        twice |= once & nb
-        once |= nb
-    return ~(cur | once), once & ~twice
-
-
-def _successor_fn(g, k):
-    """succ(cur) -> the next-state masks of state cur, in ascending (src, dst)
-    order. Balls are computed on first use and kept on the graph, one table
-    per k, so a search only pays for the vertices its tokens visit."""
-    ball = _ball_table(g, k)
-    adj = g.adj_mask
-
-    def succ(cur):
-        toks = _bits(cur)
-        free, alone = _free_masks(adj, cur, toks)
-        out = []
-        for u in toks:
-            b = ball[u]
-            if b is None:
-                b = ball[u] = _ball(g, u, k)
-            dests = b & (free | adj[u] & alone)
-            base = cur ^ (1 << u)
-            while dests:
-                low = dests & -dests
-                out.append(base | low)
-                dests ^= low
-        return out
-
-    return succ
-
-
-def _succ_moves(g, cmask, k):
-    """Deterministic (src, dst, next-mask) moves, ascending src then dst."""
-    return [(*_move(cmask, nxt), nxt) for nxt in _successor_fn(g, k)(cmask)]
-
-
 def successors(g, c, k):
-    """All configurations one k-Jump move away from c."""
+    """All configurations one k-Jump move away from c: the states one level
+    of the search from c discovers."""
     _check_k(k)
     _check_config(g, c, "configuration")
-    return {_from_mask(m) for m in _successor_fn(g, k)(_to_mask(c))}
+    cmask = _to_mask(c)
+    seen = _search(g, k, sys.maxsize, cmask, budget=1)[1].seen
+    return {_from_mask(m) for m in seen if m != cmask}
 
 
 class _Side:
@@ -182,43 +142,51 @@ class _Side:
 
     __slots__ = ("seen", "levels", "known")
 
-    def __init__(self, root):
-        self.seen = {root: None}
-        self.levels = [[root]]
+    def __init__(self, roots):
+        self.seen = dict.fromkeys(roots)
+        self.levels = [list(roots)]
         self.known = {}
 
 
 def _search(g, k, max_states, smask, tmask=None, budget=None, whole_level=False):
-    """The search loop: breadth-first, one level at a time. Without tmask it
-    explores the component of smask. With tmask a second side grows from
-    tmask, each level expands the smaller frontier, and the search ends when
-    the sides meet (k-Jump moves are reversible, so they meet on a shortest
-    path), `budget` levels are spent or a side runs out. The cap counts the
-    states of both sides.
-
-    A move takes a token off u and puts it on a vertex of ball[u]; the
-    tokens left behind form the move's hub y = cur - u, shared by every
-    state y + v. Each side keeps, per hub, the completions v it has already
-    handled, so expanding another state of the same hub skips them; the
-    other states are still checked against `seen`. Skipped states are all
-    seen states, so discovery order, parents and meeting points are those of
-    a search without the cache.
-
-    Returns (meets, fwd, bwd): the states where the sides met (the first one
-    found, or with whole_level=True every meeting state of the level that
-    found one), each mapped to its first discoverer on the side that found
-    it, in discovery order, and the two sides (bwd None without tmask)."""
-    fwd = _Side(smask)
+    """The search from smask, and with tmask from both ends: see _run.
+    Returns (meets, fwd, bwd), the two sides (bwd None without tmask)."""
+    fwd = _Side([smask])
     if tmask is None:
-        bwd, sides = None, [(fwd, {})]
-    else:
-        bwd = _Side(tmask)
-        if smask == tmask:
-            return {smask: None}, fwd, bwd
-        sides = [(fwd, bwd.seen), (bwd, fwd.seen)]
+        return _run(g, k, max_states, [(fwd, {})], budget, whole_level), fwd, None
+    bwd = _Side([tmask])
+    if smask == tmask:
+        return {smask: None}, fwd, bwd
+    sides = [(fwd, bwd.seen), (bwd, fwd.seen)]
+    return _run(g, k, max_states, sides, budget, whole_level), fwd, bwd
+
+
+def _run(g, k, max_states, sides, budget=None, whole_level=False):
+    """The search loop: breadth-first, one level at a time. `sides` holds
+    (side, other) pairs, other the states whose discovery is a meeting. One
+    side with other empty explores the component of its roots. With two
+    sides, grown from s and from t, each level expands the smaller frontier,
+    and the search ends when the sides meet (k-Jump moves are reversible, so
+    they meet on a shortest path), `budget` levels are spent or a side runs
+    out. The cap counts the states of all sides.
+
+    A move takes a token off u and puts it on a vertex v of ball[u] outside
+    the closed neighbourhood of the other tokens, ball[u] & (free | adj[u] &
+    alone), tried in ascending (u, v) order. The tokens left behind form the
+    move's hub y = cur - u, shared by every state y + v. Each side keeps,
+    per hub, the completions v it has already handled, so expanding another
+    state of the same hub skips them; the other states are still checked
+    against `seen`. Skipped states are all
+    seen states or meets, so discovery order, parents and meeting points
+    are those of a search without the cache.
+
+    Returns the meets: the states where the sides met (the first one found,
+    or with whole_level=True every meeting state of the level that found
+    one), each mapped to its first discoverer on the side that found it, in
+    discovery order."""
     ball = _ball_table(g, k)
     adj = g.adj_mask
-    held = len(sides)
+    held = sum(len(sd.seen) for sd, _ in sides)
     depth = 0
     meets = {}
     while budget is None or depth < budget:
@@ -226,7 +194,9 @@ def _search(g, k, max_states, smask, tmask=None, budget=None, whole_level=False)
         seen, known = side.seen, side.known
         nxt_front = []
         for cur in side.levels[-1]:
-            # _bits and _free_masks in one pass: this is the hot loop
+            # the tokens, the vertices neither holding nor next to a token
+            # (free) and the neighbours of exactly one (alone), in one pass:
+            # this is the hot loop
             toks = []
             once = twice = 0
             m = cur
@@ -260,7 +230,7 @@ def _search(g, k, max_states, smask, tmask=None, budget=None, whole_level=False)
                         continue
                     if nxt in other:
                         if not whole_level:
-                            return {nxt: cur}, fwd, bwd
+                            return {nxt: cur}
                         meets.setdefault(nxt, cur)
                         continue
                     if held >= max_states:
@@ -274,12 +244,12 @@ def _search(g, k, max_states, smask, tmask=None, budget=None, whole_level=False)
                     seen[nxt] = cur
                     nxt_front.append(nxt)
         if meets:
-            return meets, fwd, bwd
+            return meets
         if not nxt_front:
             break
         side.levels.append(nxt_front)
         depth += 1
-    return {}, fwd, bwd
+    return {}
 
 
 def _explore(g, s, k, max_states):
@@ -379,7 +349,12 @@ def _cone_path(g, k, meets, fwd, bwd):
     to P_m. For i > m, P_i is the set of neighbours of P_{i-1} in
     B_{d-i}. A neighbour at level i - 1 of a cone state at level i is in the
     cone, so replaying the BFS from P_m, in its order, on the cone alone
-    gives each later cone state its first discoverer in the full BFS."""
+    gives each later cone state its first discoverer in the full BFS. A
+    replay step is one level of `_run` from P_{i-1} whose other side is
+    B_{d-i}: its meets are P_i, each with its first discoverer, in discovery
+    order. The steps run uncapped (the search that found the cone kept to
+    max_states); the cap is an int, which the loop compares faster than
+    float("inf")."""
     beyond = bwd.levels[::-1]  # B_b..B_0
     if next(iter(meets)) in fwd.seen:  # m = a: P_m in F_a's order
         layer = [x for x in fwd.levels[-1] if x in meets]
@@ -388,16 +363,10 @@ def _cone_path(g, k, meets, fwd, bwd):
         layer = list(meets)
         parent = dict(meets)
         beyond = beyond[1:]
-    succ = _successor_fn(g, k)
     for level in beyond:
-        level = set(level)
-        nxt_layer = []
-        for cur in layer:
-            for nxt in succ(cur):
-                if nxt in level and nxt not in parent:
-                    parent[nxt] = cur
-                    nxt_layer.append(nxt)
-        layer = nxt_layer
+        step = _run(g, k, sys.maxsize, [(_Side(layer), set(level))], 1, True)
+        parent.update(step)
+        layer = list(step)
     path = []
     x = bwd.levels[0][0]
     while x is not None:

@@ -7,20 +7,19 @@ import math
 import random
 import re
 
-from .graph import build_graph, is_connected
+from .graph import Graph, is_connected
 
 
-def random_connected_graph(n, rng, p=None):
-    """Erdos-Renyi with rejection until connected. By default the mean
-    degree is 2.5 up to 32 vertices, the sizes the seeded test and benchmark
-    corpora draw, and ln n + 1 above: mean degree 2.5 is below the ln n
-    connectivity threshold there, so almost every draw has an isolated
-    vertex and the rejection loop runs for minutes, where at ln n + 1 about
-    two draws in three are connected."""
+def random_connected_graph(n, rng):
+    """Erdos-Renyi with rejection until connected. The mean degree is 2.5 up
+    to 32 vertices, the sizes the seeded test and benchmark corpora draw,
+    and ln n + 1 above: mean degree 2.5 is below the ln n connectivity
+    threshold there, so almost every draw has an isolated vertex and the
+    rejection loop runs for minutes, where at ln n + 1 about two draws in
+    three are connected."""
     if n <= 0:
         raise ValueError("n must be positive")
-    if p is None:
-        p = min(1.0, (2.5 if n <= 32 else math.log(n) + 1) / max(n - 1, 1))
+    p = min(1.0, (2.5 if n <= 32 else math.log(n) + 1) / max(n - 1, 1))
     while True:
         edges = [
             (u, v)
@@ -28,7 +27,7 @@ def random_connected_graph(n, rng, p=None):
             for v in range(u + 1, n)
             if rng.random() < p
         ]
-        g = build_graph(n, edges)
+        g = Graph(n, edges)
         if is_connected(g):
             return g
 
@@ -42,7 +41,7 @@ def random_split_graph(n, rng, edge_p=0.5):
         for v in range(q, n):
             if rng.random() < edge_p:
                 edges.append((u, v))
-    return build_graph(n, edges)
+    return Graph(n, edges)
 
 
 def _clique_cover_size(g):

@@ -35,6 +35,8 @@ class Graph:
     __slots__ = ("n", "m", "adj_mask", "labels", "_pairs", "_adj", "_edges", "_balls")
 
     def __init__(self, n, edges, labels=None):
+        if n < 0:
+            raise GraphError("vertex count must be nonnegative")
         self.n = n
         pairs = tuple(edges)
         masks = [0] * n
@@ -99,10 +101,7 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def build_graph(n, edges, labels=None):
-    if n < 0:
-        raise GraphError("vertex count must be nonnegative")
-    return Graph(n, edges, labels)
+build_graph = Graph  # the older name, which callers outside the package keep
 
 
 def _to_mask(vs):
@@ -549,7 +548,7 @@ def graph_from_json(data):
     if "labels" in data:
         labels = {int(k): v for k, v in json_object(data["labels"], "labels").items()}
     edges = json_list(data["edges"], "edges")  # Graph checks each pair
-    return build_graph(json_int(data["n"], "vertex count"), edges, labels)
+    return Graph(json_int(data["n"], "vertex count"), edges, labels)
 
 
 def parse_edgelist(text):
@@ -564,7 +563,13 @@ def parse_edgelist(text):
             continue
         parts = line.split()
         if parts[0] == "p":
-            if len(parts) < 4 or parts[1] not in ("edge", "edges") or not _is_int(parts[2]):
+            if n is not None:
+                raise GraphError(f"second header at line {lineno}: {line!r}")
+            if (
+                len(parts) < 4
+                or parts[1] not in ("edge", "edges")
+                or not (_is_int(parts[2]) and int(parts[2]) >= 0)
+            ):
                 raise GraphError(f"malformed header at line {lineno}: {line!r}")
             n = int(parts[2])
         elif parts[0] == "e":
@@ -587,7 +592,7 @@ def parse_edgelist(text):
             raise GraphError(f"unrecognized line {lineno}: {line!r}")
     if n is None:
         raise GraphError("missing 'p edge' header")
-    return build_graph(n, edges)
+    return Graph(n, edges)
 
 
 def _is_int(field):

@@ -17,11 +17,11 @@ from itertools import combinations
 
 from . import engine
 from .graph import (
+    Graph,
     GraphError,
     _is_int,
     _to_mask,
     ball_levels,
-    build_graph,
     graph_from_json,
     json_int,
     json_ints,
@@ -84,20 +84,25 @@ def parse_e3cnf(text):
             raise CnfError(f"malformed literal at line {lineno}: {line!r}")
         for tok in parts:
             lit = int(tok)
+            if not pending:
+                first = lineno  # the line the clause starts on
             if lit == 0:
                 if len(pending) != 3:
                     raise CnfError(
-                        f"clause {pending} has {len(pending)} literals, need 3"
+                        f"clause {_words(pending)} at line {first} has"
+                        f" {len(pending)} literals, need 3"
                     )
-                clauses.append(tuple(pending))
+                clauses.append(tuple((abs(x) - 1, x > 0) for x in pending))
                 pending = []
+            elif abs(lit) > num_vars:
+                raise CnfError(
+                    f"variable {abs(lit)} out of range 1..{num_vars} at line"
+                    f" {lineno}: {line!r}"
+                )
             else:
-                var = abs(lit) - 1
-                if var >= num_vars:
-                    raise CnfError(f"variable {abs(lit)} out of range")
-                pending.append((var, lit > 0))
+                pending.append(lit)
     if pending:
-        raise CnfError(f"unterminated clause {pending}")
+        raise CnfError(f"unterminated clause {_words(pending)} at line {first}")
     if num_vars is None:
         raise CnfError("missing 'p cnf' header")
     if num_clauses is not None and len(clauses) != num_clauses:
@@ -105,6 +110,11 @@ def parse_e3cnf(text):
             f"header promises {num_clauses} clauses, found {len(clauses)}"
         )
     return CnfFormula(num_vars, tuple(clauses))
+
+
+def _words(lits):
+    """Signed DIMACS literals, quoted: ''1 -2''."""
+    return repr(" ".join(map(str, lits)))
 
 
 @dataclass(frozen=True)
@@ -201,7 +211,7 @@ def build_instance(phi, k):
             add((vb, rho[pos]))  # t_0 = u_0
 
     total = m * (2 * k + 3) + n * (k + 2)
-    g = build_graph(total, edges, labels)
+    g = Graph(total, edges, labels)
     start = frozenset(
         [clause_base[i] for i in range(m)]
         + [var_base[j] + k for j in range(n)]

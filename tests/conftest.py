@@ -2,10 +2,10 @@
 
 Everything in here is deliberately naive: frozenset BFS, brute-force subset
 scans, exhaustive partition enumeration. None of it shares search code with
-the package, so it can arbitrate expected values in the tests. The one
-exception is naive_search, the oracle's earlier search loop: it draws
-successors from `engine._successor_fn`, which is itself checked against
-naive_successors, and it fixes the discovery order the current loop keeps.
+the package, so it can arbitrate expected values in the tests. naive_search,
+the oracle's earlier search loop, fixes the discovery order the current loop
+keeps; it draws successors from mask_successors, a plain mask generator that
+is itself checked against naive_successors.
 """
 
 import itertools
@@ -13,7 +13,7 @@ import random
 from collections import deque
 from functools import lru_cache
 
-from kjump.engine import ResourceExhausted, _successor_fn
+from kjump.engine import ResourceExhausted
 from kjump.graph import GraphError, build_graph
 
 
@@ -137,6 +137,42 @@ def naive_successors(g, c, k):
     return out
 
 
+@lru_cache(maxsize=256)
+def _naive_balls(g, k):
+    """Per vertex u, the ascending vertices v != u with naive_dist(u, v) <= k,
+    by a BFS from u cut off at depth k."""
+    balls = []
+    for u in range(g.n):
+        depth = {u: 0}
+        q = deque([u])
+        while q:
+            x = q.popleft()
+            if depth[x] == k:
+                continue
+            for w in g.adj[x]:
+                if w not in depth:
+                    depth[w] = depth[x] + 1
+                    q.append(w)
+        balls.append(sorted(v for v in depth if v != u))
+    return balls
+
+
+def mask_successors(g, cmask, k):
+    """The next-state masks of the independent state mask cmask, ascending
+    (src, dst): a token on u moves to a free vertex v within distance k of u
+    when no other token is on or next to v."""
+    balls = _naive_balls(g, k)
+    out = []
+    for u in range(g.n):
+        if not cmask >> u & 1:
+            continue
+        rest = cmask ^ 1 << u
+        for v in balls[u]:
+            if not (rest >> v & 1 or g.adj_mask[v] & rest):
+                out.append(rest | 1 << v)
+    return out
+
+
 def naive_decide(g, s, t, k):
     s, t = frozenset(s), frozenset(t)
     seen = {s}
@@ -246,7 +282,8 @@ def naive_validate(g, start, moves, k):
 
 def naive_search(g, k, max_states, smask, tmask=None, both=False, budget=None):
     """The oracle's search loop as it was before its hub cache and the
-    bidirectional `shortest`, kept verbatim as the reference for both.
+    bidirectional `shortest`, kept as the reference for both, with its
+    successors from mask_successors.
 
     The search loop: breadth-first from smask, one level at a time, until
     tmask is met, `budget` levels are spent or the component is exhausted.
@@ -264,7 +301,6 @@ def naive_search(g, k, max_states, smask, tmask=None, both=False, budget=None):
     sides = [[fwd, [smask], bwd]]
     if both:
         sides.append([bwd, [tmask], fwd])
-    succ = _successor_fn(g, k)
     held = len(fwd) + len(bwd)
     levels = 0
     while budget is None or levels < budget:
@@ -272,7 +308,7 @@ def naive_search(g, k, max_states, smask, tmask=None, both=False, budget=None):
         seen, frontier, other = side
         nxt_front = []
         for cur in frontier:
-            for nxt in succ(cur):
+            for nxt in mask_successors(g, cur, k):
                 if nxt in seen:
                     continue
                 if nxt in other:

@@ -39,6 +39,7 @@ from kjump.split2 import decide2, distribution, is_frozen
 from conftest import (
     atlas_graphs,
     exhaustive_e3_formulas,
+    mask_successors,
     random_graphs,
     split_graphs_upto,
 )
@@ -70,7 +71,7 @@ def _partition(g, masks, k):
         return x
 
     for m in masks:
-        for _, _, nxt in engine._succ_moves(g, m, k):
+        for nxt in mask_successors(g, m, k):
             a, b = find(idx[m]), find(idx[nxt])
             if a != b:
                 parent[b] = a

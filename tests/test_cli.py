@@ -99,6 +99,9 @@ def test_recognize_edgelist_short_edge_line(tmp_path):
         ("p edge x 1\n", "malformed header at line 1: 'p edge x 1'"),
         ("p edge 3 2\ne 1 1\n", "self-loop at line 2: 'e 1 1'"),
         ("p edge 3 2\ne 1 2\nc x\ne 2 1\n", "duplicate edge at line 4: 'e 2 1'"),
+        ("p edge -1 0\n", "malformed header at line 1: 'p edge -1 0'"),
+        # a later header with fewer vertices would put earlier edges out of range
+        ("p edge 3 1\ne 3 1\np edge 2 0\n", "second header at line 3: 'p edge 2 0'"),
     ],
 )
 def test_recognize_edgelist_bad_field_is_exit_two(tmp_path, capsys, text, error):
@@ -118,6 +121,9 @@ def test_recognize_edgelist_bad_field_is_exit_two(tmp_path, capsys, text, error)
         ("p cnf 3 1\n1 2 3.0 0\n", "malformed literal at line 2: '1 2 3.0 0'"),
         # a later header with fewer variables would put earlier clauses out of range
         ("p cnf 3 1\n1 2 3 0\np cnf 1 1\n", "second header at line 3: 'p cnf 1 1'"),
+        ("p cnf 3 1\n1 -2 0\n", "clause '1 -2' at line 2 has 2 literals, need 3"),
+        ("p cnf 3 1\n1 -2 3\n", "unterminated clause '1 -2 3' at line 2"),
+        ("p cnf 2 1\n1 -3 2 0\n", "variable 3 out of range 1..2 at line 2: '1 -3 2 0'"),
     ],
 )
 def test_reduce_cnf_bad_field_is_exit_two(tmp_path, capsys, text, error):

@@ -35,6 +35,7 @@ from conftest import (
     atlas_graphs,
     cycle_graph,
     independent_sets,
+    mask_successors,
     naive_decide,
     naive_diameter,
     naive_dist,
@@ -593,19 +594,16 @@ def test_shortest_moves_match_naive_one_directional():
 
 
 def test_shortest_replays_only_past_the_meeting_layer(monkeypatch):
-    # the search loop inlines its successors, so every state expanded
-    # through _successor_fn while `shortest` runs is one _cone_path expands
+    # `shortest` runs the loop once with its two sides, then once per
+    # replay step of _cone_path with one side: the roots of those one-sided
+    # runs are the states the replay expands
     expanded = []
-    successor_fn = engine._successor_fn
+    run = engine._run
 
-    def recording(g, k):
-        succ = successor_fn(g, k)
-
-        def wrapped(cur):
-            expanded.append(cur)
-            return succ(cur)
-
-        return wrapped
+    def recording(g, k, max_states, sides, *args):
+        if len(sides) == 1:
+            expanded.extend(sides[0][0].levels[0])
+        return run(g, k, max_states, sides, *args)
 
     guarded = 0
     for g, sets, ks in _search_corpus():
@@ -625,7 +623,7 @@ def test_shortest_replays_only_past_the_meeting_layer(monkeypatch):
                 before = {x for level in fwd.levels[:m] for x in level}
                 expanded.clear()
                 with monkeypatch.context() as mp:
-                    mp.setattr(engine, "_successor_fn", recording)
+                    mp.setattr(engine, "_run", recording)
                     shortest(g, s, t, k)
                 assert before.isdisjoint(expanded)
                 assert all(x in meets or x in bwd.seen for x in expanded)
@@ -843,18 +841,20 @@ def test_shortest_moves_match_reference_bfs():
 
 
 def test_succ_moves_ascending_src_then_dst():
+    # the reference generator is naive_successors in ascending (src, dst)
+    # order, and one level of the search discovers the same states in it
     for g in random_graphs(20, 8, seed=131):
         for c in independent_sets(g, 3):
             cmask = sum(1 << v for v in c)
             for k in (1, 2, 4):
-                moves = engine._succ_moves(g, cmask, k)
-                pairs = [(u, v) for u, v, _ in moves]
+                nxts = mask_successors(g, cmask, k)
+                pairs = [engine._move(cmask, m) for m in nxts]
                 assert pairs == sorted(set(pairs))
-                for u, v, nxt in moves:
+                for (u, v), nxt in zip(pairs, nxts):
                     assert engine._from_mask(nxt) == c - {u} | {v}
-                assert {engine._from_mask(m) for _, _, m in moves} == (
-                    naive_successors(g, c, k)
-                )
+                assert set(map(engine._from_mask, nxts)) == naive_successors(g, c, k)
+                seen = engine._search(g, k, 10**7, cmask, budget=1)[1].seen
+                assert list(seen) == [cmask, *nxts]
 
 
 def test_from_mask_round_trip():

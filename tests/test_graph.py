@@ -88,6 +88,14 @@ def test_build_rejects_out_of_range():
         build_graph(3, [(0, 5)])
 
 
+def test_graph_rejects_negative_vertex_count():
+    # one constructor: Graph itself checks n, and build_graph is Graph
+    assert build_graph is Graph
+    for n in (-1, -3):
+        with pytest.raises(GraphError, match="vertex count must be nonnegative"):
+            Graph(n, [])
+
+
 def test_adjacency_symmetric():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     for u in range(4):
@@ -136,13 +144,13 @@ def test_mask_graph_matches_list_graph(monkeypatch):
         rng.shuffle(pairs)
         check_against_list_graph(build_graph(n, pairs), pairs)
         checked["large"] += 1
-    given = []  # the edge lists build_instance passes to build_graph
+    given = []  # the edge lists build_instance passes to Graph
 
     def recording(n, edges, labels):
         given.append(edges)
-        return build_graph(n, edges, labels)
+        return Graph(n, edges, labels)
 
-    monkeypatch.setattr(reduction, "build_graph", recording)
+    monkeypatch.setattr(reduction, "Graph", recording)
     for phi in exhaustive_e3_formulas()[::600]:
         for k in (3, 5):
             g = build_instance(phi, k).graph
@@ -672,6 +680,8 @@ def test_parse_edgelist_errors():
         ("p edge 3 1\ne 1 x\n", "malformed edge at line 2: 'e 1 x'"),
         ("p edge 3 1\ne 2.0 1\n", "malformed edge at line 2: 'e 2.0 1'"),
         ("c\np edge x 1\n", "malformed header at line 2: 'p edge x 1'"),
+        ("p edge -1 0\n", "malformed header at line 1: 'p edge -1 0'"),
+        ("p edge 3 1\ne 3 1\np edge 2 0\n", "second header at line 3: 'p edge 2 0'"),
     ]:
         with pytest.raises(GraphError) as exc:
             parse_edgelist(text)

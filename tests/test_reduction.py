@@ -62,6 +62,14 @@ def test_parse_errors():
         ("c x\np cnf 3 1\n1 2 3.0 0\n", "malformed literal at line 3: '1 2 3.0 0'"),
         ("p cnf -2 0\n", "malformed header at line 1: 'p cnf -2 0'"),
         ("p cnf 3 1\n1 2 3 0\np cnf 1 1\n", "second header at line 3: 'p cnf 1 1'"),
+        # a clause is named by the line it starts on and its signed literals
+        ("p cnf 3 1\n1 -2 0\n", "clause '1 -2' at line 2 has 2 literals, need 3"),
+        ("p cnf 3 1\n1\n-2 0\n", "clause '1 -2' at line 2 has 2 literals, need 3"),
+        ("p cnf 3 1\n1 2 3 0 0\n", "clause '' at line 2 has 0 literals, need 3"),
+        ("c x\np cnf 3 1\n1 -2 3\n", "unterminated clause '1 -2 3' at line 3"),
+        ("p cnf 3 1\n1 -2\n3\n", "unterminated clause '1 -2 3' at line 2"),
+        ("p cnf 2 1\n1 -3 2 0\n", "variable 3 out of range 1..2 at line 2: '1 -3 2 0'"),
+        ("p cnf 3 2\n1 2 3 0\n-1 -4 0\n", "variable 4 out of range 1..3 at line 3: '-1 -4 0'"),
     ],
 )
 def test_parse_names_line_of_bad_field(text, error):

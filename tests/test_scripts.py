@@ -64,6 +64,7 @@ def test_bench_pair_writes_bench_schema(tmp_path):
     assert list(doc) == ["what", "machine", "command", "parent", "change", "pairs"]
     assert doc["what"] == "bench base"
     assert doc["parent"]["commit"] == doc["change"]["commit"]
+    assert doc["parent"]["src_lines"] == doc["change"]["src_lines"] > 0
     for side in ("parent", "change"):
         runs = doc[side]["runs"]["split-stream"]
         assert sorted(runs) == ["seed_1", "seed_2"]
