@@ -321,8 +321,9 @@ def shortest(g, s, t, k, max_states=DEFAULT_STATE_CAP):
 
     The sequence is the one a one-directional BFS from s returns: moves are
     tried in ascending (src, dst) order and each state keeps the parent that
-    discovered it first. The search gives its forward half, and a replay of
-    that BFS past the layer where the sides met the rest: see _cone_path."""
+    discovered it first. The search gives its forward half, and one level
+    of the loop per state past the layer where the sides met the rest: see
+    _cone_path."""
     _check_pair(g, s, t, k)
     s = frozenset(s)
     smask, tmask = _to_mask(s), _to_mask(t)
@@ -345,28 +346,30 @@ def _cone_path(g, k, meets, fwd, bwd):
     layer P_m of the cone P_i = {ds = i, dt = d - i}: m = a if the backward
     side found them in F_a, m = a + 1 if the forward side found them in B_b
     (from F_a). F_0..F_a are the one-directional BFS's levels, found in the
-    same order, so `fwd.seen` and, for m = a + 1, `meets` hold the path up
-    to P_m. For i > m, P_i is the set of neighbours of P_{i-1} in
-    B_{d-i}. A neighbour at level i - 1 of a cone state at level i is in the
-    cone, so replaying the BFS from P_m, in its order, on the cone alone
-    gives each later cone state its first discoverer in the full BFS. A
-    replay step is one level of `_run` from P_{i-1} whose other side is
-    B_{d-i}: its meets are P_i, each with its first discoverer, in discovery
-    order. The steps run uncapped (the search that found the cone kept to
-    max_states); the cap is an int, which the loop compares faster than
+    same order, so `fwd.seen` holds the path up to F_a. A neighbour at
+    level i - 1 of a cone state at level i is in the cone, and each cone
+    state but t has a neighbour in the next layer, so the first state of
+    P_{i-1} in discovery order discovers the first of P_i: the path is the
+    chain of the layers' first states. P_m's first is the first meet in
+    F_a's order if m = a, and the first meet found if m = a + 1. For i > m,
+    P_i's first is the first successor, in move order, of P_{i-1}'s first
+    that lies in B_{d-i} (such a successor is in P_i): one level of `_run`
+    from that state, with B_{d-i} as the other side, up to its first meet.
+    The steps run uncapped, since the search that found the cone kept to
+    max_states; the cap is an int, which the loop compares faster than
     float("inf")."""
     beyond = bwd.levels[::-1]  # B_b..B_0
-    if next(iter(meets)) in fwd.seen:  # m = a: P_m in F_a's order
-        layer = [x for x in fwd.levels[-1] if x in meets]
+    x = next(iter(meets))
+    if x in fwd.seen:  # m = a
+        x = next(y for y in fwd.levels[-1] if y in meets)
         parent = {}
-    else:  # m = a + 1: P_m is B_b's part, in discovery order
-        layer = list(meets)
-        parent = dict(meets)
+    else:  # m = a + 1, discovered from F_a
+        parent = {x: meets[x]}
         beyond = beyond[1:]
     for level in beyond:
-        step = _run(g, k, sys.maxsize, [(_Side(layer), set(level))], 1, True)
+        step = _run(g, k, sys.maxsize, [(_Side([x]), set(level))], 1)
         parent.update(step)
-        layer = list(step)
+        (x,) = step
     path = []
     x = bwd.levels[0][0]
     while x is not None:
