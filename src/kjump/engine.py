@@ -148,20 +148,20 @@ class _Side:
         self.known = {}
 
 
-def _search(g, k, max_states, smask, tmask=None, budget=None, whole_level=False):
+def _search(g, k, max_states, smask, tmask=None, budget=None):
     """The search from smask, and with tmask from both ends: see _run.
-    Returns (meets, fwd, bwd), the two sides (bwd None without tmask)."""
+    Returns (meet, fwd, bwd), the two sides (bwd None without tmask)."""
     fwd = _Side([smask])
     if tmask is None:
-        return _run(g, k, max_states, [(fwd, {})], budget, whole_level), fwd, None
+        return _run(g, k, max_states, [(fwd, {})], budget), fwd, None
     bwd = _Side([tmask])
     if smask == tmask:
-        return {smask: None}, fwd, bwd
+        return (smask, None), fwd, bwd
     sides = [(fwd, bwd.seen), (bwd, fwd.seen)]
-    return _run(g, k, max_states, sides, budget, whole_level), fwd, bwd
+    return _run(g, k, max_states, sides, budget), fwd, bwd
 
 
-def _run(g, k, max_states, sides, budget=None, whole_level=False):
+def _run(g, k, max_states, sides, budget=None):
     """The search loop: breadth-first, one level at a time. `sides` holds
     (side, other) pairs, other the states whose discovery is a meeting. One
     side with other empty explores the component of its roots. With two
@@ -176,19 +176,15 @@ def _run(g, k, max_states, sides, budget=None, whole_level=False):
     move's hub y = cur - u, shared by every state y + v. Each side keeps,
     per hub, the completions v it has already handled, so expanding another
     state of the same hub skips them; the other states are still checked
-    against `seen`. Skipped states are all
-    seen states or meets, so discovery order, parents and meeting points
-    are those of a search without the cache.
+    against `seen`. Skipped states are all seen states, so discovery order,
+    parents and the meeting point are those of a search without the cache.
 
-    Returns the meets: the states where the sides met (the first one found,
-    or with whole_level=True every meeting state of the level that found
-    one), each mapped to its first discoverer on the side that found it, in
-    discovery order."""
+    Returns the first meet, (state, its discoverer on the side that found
+    it), or None."""
     ball = _ball_table(g, k)
     adj = g.adj_mask
     held = sum(len(sd.seen) for sd, _ in sides)
     depth = 0
-    meets = {}
     while budget is None or depth < budget:
         side, other = min(sides, key=lambda sd: len(sd[0].levels[-1]))
         seen, known = side.seen, side.known
@@ -229,10 +225,7 @@ def _run(g, k, max_states, sides, budget=None, whole_level=False):
                     if nxt in seen:
                         continue
                     if nxt in other:
-                        if not whole_level:
-                            return {nxt: cur}
-                        meets.setdefault(nxt, cur)
-                        continue
+                        return nxt, cur
                     if held >= max_states:
                         raise ResourceExhausted(
                             max_states,
@@ -243,19 +236,11 @@ def _run(g, k, max_states, sides, budget=None, whole_level=False):
                     held += 1
                     seen[nxt] = cur
                     nxt_front.append(nxt)
-        if meets:
-            return meets
         if not nxt_front:
             break
         side.levels.append(nxt_front)
         depth += 1
-    return {}
-
-
-def _explore(g, s, k, max_states):
-    """Full component exploration from s: parent map keyed by state bitmask,
-    state -> previous state (None at s), in BFS discovery order."""
-    return _search(g, k, max_states, _to_mask(s))[1].seen
+    return None
 
 
 class _Configs(Set):
@@ -296,7 +281,7 @@ def reachable_configs(g, c, k, max_states=DEFAULT_STATE_CAP):
     of frozensets in BFS discovery order."""
     _check_k(k)
     _check_config(g, c, "configuration")
-    return _Configs(_explore(g, c, k, max_states), g.n)
+    return _Configs(_search(g, k, max_states, _to_mask(c))[1].seen, g.n)
 
 
 def _check_pair(g, s, t, k):
@@ -312,8 +297,8 @@ def _check_pair(g, s, t, k):
 def decide(g, s, t, k, max_states=DEFAULT_STATE_CAP):
     """Reachability of t from s in the k-Jump transition graph."""
     _check_pair(g, s, t, k)
-    meets, _, _ = _search(g, k, max_states, _to_mask(s), _to_mask(t))
-    return bool(meets)
+    meet, _, _ = _search(g, k, max_states, _to_mask(s), _to_mask(t))
+    return meet is not None
 
 
 def shortest(g, s, t, k, max_states=DEFAULT_STATE_CAP):
@@ -321,57 +306,54 @@ def shortest(g, s, t, k, max_states=DEFAULT_STATE_CAP):
 
     The sequence is the one a one-directional BFS from s returns: moves are
     tried in ascending (src, dst) order and each state keeps the parent that
-    discovered it first. The search gives its forward half, and one level
-    of the loop per state past the layer where the sides met the rest: see
-    _cone_path."""
+    discovered it first. `decide`'s search gives its forward half, and one
+    level of the loop per backward level the rest: see _cone_path."""
     _check_pair(g, s, t, k)
     s = frozenset(s)
     smask, tmask = _to_mask(s), _to_mask(t)
     if smask == tmask:
         return MoveSequence(s, (), k)
-    meets, fwd, bwd = _search(g, k, max_states, smask, tmask, whole_level=True)
-    if not meets:
+    meet, fwd, bwd = _search(g, k, max_states, smask, tmask)
+    if meet is None:
         return None
-    path = _cone_path(g, k, meets, fwd, bwd)
+    path = _cone_path(g, k, meet, fwd, bwd)
     return MoveSequence(s, tuple(map(_move, path, path[1:])), k)
 
 
-def _cone_path(g, k, meets, fwd, bwd):
-    """The states of the one-directional BFS path from s to t, given a
-    bidirectional search that stopped at the end of the first level where
-    the sides met, with `meets` all the meeting states of that level.
+def _cone_path(g, k, meet, fwd, bwd):
+    """The states of the one-directional BFS path from s to t, given the
+    first meet (state, discoverer) of a bidirectional search.
 
     With forward levels F_0..F_a and backward levels B_0..B_b complete and
-    disjoint, the distance is d = a + b + 1, and the meeting states are the
-    layer P_m of the cone P_i = {ds = i, dt = d - i}: m = a if the backward
-    side found them in F_a, m = a + 1 if the forward side found them in B_b
-    (from F_a). F_0..F_a are the one-directional BFS's levels, found in the
-    same order, so `fwd.seen` holds the path up to F_a. A neighbour at
-    level i - 1 of a cone state at level i is in the cone, and each cone
-    state but t has a neighbour in the next layer, so the first state of
-    P_{i-1} in discovery order discovers the first of P_i: the path is the
-    chain of the layers' first states. P_m's first is the first meet in
-    F_a's order if m = a, and the first meet found if m = a + 1. For i > m,
-    P_i's first is the first successor, in move order, of P_{i-1}'s first
-    that lies in B_{d-i} (such a successor is in P_i): one level of `_run`
-    from that state, with B_{d-i} as the other side, up to its first meet.
-    The steps run uncapped, since the search that found the cone kept to
-    max_states; the cap is an int, which the loop compares faster than
-    float("inf")."""
-    beyond = bwd.levels[::-1]  # B_b..B_0
-    x = next(iter(meets))
-    if x in fwd.seen:  # m = a
-        x = next(y for y in fwd.levels[-1] if y in meets)
-        parent = {}
-    else:  # m = a + 1, discovered from F_a
-        parent = {x: meets[x]}
-        beyond = beyond[1:]
-    for level in beyond:
-        step = _run(g, k, sys.maxsize, [(_Side([x]), set(level))], 1)
-        parent.update(step)
-        (x,) = step
+    disjoint, the distance is d = a + b + 1, and a shortest path runs
+    through the cone P_i = {ds = i, dt = d - i}, with P_a the states of F_a
+    that have a successor in B_b. F_0..F_a are the one-directional BFS's
+    levels, found in the same order, so `fwd.seen` holds the path up to
+    F_a. A neighbour at level i - 1 of a cone state at level i is in the
+    cone, and each cone state but t has a neighbour in the next layer, so
+    the first state of P_{i-1} in discovery order discovers the first of
+    P_i: the path is the chain of the layers' first states, and P_{i+1}'s
+    first is the first successor, in move order, of P_i's first that lies
+    in B_{d-i-1}.
+
+    The forward side meets in B_b while it expands F_a in order, so the
+    meet and its discoverer are already P_{a+1}'s first and P_a's first.
+    The backward side meets in F_a at some state of P_a, not always the
+    first: one level of `_run` from the roots F_a, with B_b as the other
+    side, gives the same pair as the forward side would have. Each later
+    step is one level of `_run` from the last state found, with the next
+    backward level as the other side, up to its first meet. The steps run
+    uncapped, since the search that found the cone kept to max_states; the
+    cap is an int, which the loop compares faster than float("inf")."""
+    if meet[0] not in bwd.seen:  # found by the backward side, in F_a
+        roots = _Side(fwd.levels[-1])
+        meet = _run(g, k, sys.maxsize, [(roots, set(bwd.levels[-1]))], 1)
+    x, prev = meet
+    parent = {x: prev}
+    for level in bwd.levels[-2::-1]:  # B_{b-1}..B_0
+        x, prev = _run(g, k, sys.maxsize, [(_Side([x]), set(level))], 1)
+        parent[x] = prev
     path = []
-    x = bwd.levels[0][0]
     while x is not None:
         path.append(x)
         x = parent[x] if x in parent else fwd.seen[x]
@@ -384,8 +366,8 @@ def exists_within(g, s, t, k, budget, max_states=DEFAULT_STATE_CAP):
     _check_pair(g, s, t, k)
     if budget < 0:
         raise GraphError("move budget must be nonnegative")
-    meets, _, _ = _search(g, k, max_states, _to_mask(s), _to_mask(t), budget=budget)
-    return bool(meets)
+    meet, _, _ = _search(g, k, max_states, _to_mask(s), _to_mask(t), budget=budget)
+    return meet is not None
 
 
 def _move_error(g, cur, src, dst, k):

@@ -552,8 +552,8 @@ def graph_from_json(data):
 
 
 def parse_edgelist(text):
-    """DIMACS-like edge list: 'p edge n m' header, 'e u v' lines, 1-indexed.
-    Errors name the line and the file's own ids."""
+    """DIMACS-like edge list: 'p edge n m' header, then m 'e u v' lines,
+    1-indexed. Errors name the line and the file's own ids."""
     n = None
     edges = []
     seen = set()  # edges as (low, high)
@@ -568,13 +568,15 @@ def parse_edgelist(text):
             if (
                 len(parts) < 4
                 or parts[1] not in ("edge", "edges")
-                or not (_is_int(parts[2]) and int(parts[2]) >= 0)
+                or not all(_is_int(f) and int(f) >= 0 for f in parts[2:4])
             ):
                 raise GraphError(f"malformed header at line {lineno}: {line!r}")
-            n = int(parts[2])
+            n, m = int(parts[2]), int(parts[3])
         elif parts[0] == "e":
             if n is None:
-                raise GraphError("edge line before 'p edge' header")
+                raise GraphError(
+                    f"edge line before 'p edge' header at line {lineno}: {line!r}"
+                )
             if len(parts) < 3 or not (_is_int(parts[1]) and _is_int(parts[2])):
                 raise GraphError(f"malformed edge at line {lineno}: {line!r}")
             u, v = int(parts[1]), int(parts[2])
@@ -592,6 +594,8 @@ def parse_edgelist(text):
             raise GraphError(f"unrecognized line {lineno}: {line!r}")
     if n is None:
         raise GraphError("missing 'p edge' header")
+    if len(edges) != m:
+        raise GraphError(f"header promises {m} edges, found {len(edges)}")
     return Graph(n, edges)
 
 

@@ -13,6 +13,7 @@ satisfying assignments via the open/closed state of the variable gadgets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from . import engine
@@ -79,7 +80,9 @@ def parse_e3cnf(text):
             num_vars, num_clauses = int(parts[2]), int(parts[3])
             continue
         if num_vars is None:
-            raise CnfError("clause before 'p cnf' header")
+            raise CnfError(
+                f"clause before 'p cnf' header at line {lineno}: {line!r}"
+            )
         if not all(map(_is_int, parts)):
             raise CnfError(f"malformed literal at line {lineno}: {line!r}")
         for tok in parts:
@@ -128,18 +131,16 @@ class ReductionInstance:
 
     def vertex(self, label):
         try:
-            return self._index()[label]
+            return self._index[label]
         except KeyError:
             raise GraphError(
                 f"reduction instance's labelMap has no vertex labelled {label!r}"
             ) from None
 
+    @cached_property
     def _index(self):
-        idx = getattr(self, "_rev", None)
-        if idx is None:
-            idx = {lab: v for v, lab in self.label_map.items()}
-            object.__setattr__(self, "_rev", idx)
-        return idx
+        """label -> vertex id, the reverse of label_map."""
+        return {lab: v for v, lab in self.label_map.items()}
 
     # Gadget accessors. t-aliases resolve into the variable path.
     def v(self, i, j):

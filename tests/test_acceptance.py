@@ -161,7 +161,7 @@ def test_criterion_2_lemma8_compiler(capsys, c1_graphs):
                 if m0 in visited:
                     continue
                 # parent map in BFS discovery order: parents precede children
-                parents = engine._explore(g, engine._from_mask(m0), d, 10**7)
+                parents = engine._search(g, d, 10**7, m0)[1].seen
                 visited |= parents.keys()
                 pairs_covered += len(parents) * (len(parents) - 1)
                 tree = {m0: ()}  # mask -> moves from root

@@ -102,11 +102,15 @@ def test_recognize_edgelist_short_edge_line(tmp_path):
         ("p edge -1 0\n", "malformed header at line 1: 'p edge -1 0'"),
         # a later header with fewer vertices would put earlier edges out of range
         ("p edge 3 1\ne 3 1\np edge 2 0\n", "second header at line 3: 'p edge 2 0'"),
+        ("p edge 3 x\ne 1 2\n", "malformed header at line 1: 'p edge 3 x'"),
+        ("p edge 3 5\ne 1 2\n", "header promises 5 edges, found 1"),
+        ("c x\ne 1 2\np edge 2 1\n", "edge line before 'p edge' header at line 2: 'e 1 2'"),
     ],
 )
 def test_recognize_edgelist_bad_field_is_exit_two(tmp_path, capsys, text, error):
-    # a non-integer field, an endpoint outside 1..n, a self-loop or a
-    # repeated edge is named by its line and the file's own 1-based ids
+    # a non-integer field, an endpoint outside 1..n, a self-loop, a repeated
+    # edge or an edge before the header is named by its line and the file's
+    # own 1-based ids; an edge count unlike the header's is an error too
     code = run(["recognize", write(tmp_path, "g.col", text), "--format", "edgelist"])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
@@ -121,6 +125,7 @@ def test_recognize_edgelist_bad_field_is_exit_two(tmp_path, capsys, text, error)
         ("p cnf 3 1\n1 2 3.0 0\n", "malformed literal at line 2: '1 2 3.0 0'"),
         # a later header with fewer variables would put earlier clauses out of range
         ("p cnf 3 1\n1 2 3 0\np cnf 1 1\n", "second header at line 3: 'p cnf 1 1'"),
+        ("c x\n1 2 3 0\np cnf 3 1\n", "clause before 'p cnf' header at line 2: '1 2 3 0'"),
         ("p cnf 3 1\n1 -2 0\n", "clause '1 -2' at line 2 has 2 literals, need 3"),
         ("p cnf 3 1\n1 -2 3\n", "unterminated clause '1 -2 3' at line 2"),
         ("p cnf 2 1\n1 -3 2 0\n", "variable 3 out of range 1..2 at line 2: '1 -3 2 0'"),

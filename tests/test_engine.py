@@ -555,7 +555,7 @@ def test_explore_parent_map_matches_naive_search():
         rng = random.Random(g.n * 7 + len(g.edges))
         for c in rng.sample(sets, min(3, len(sets))):
             for k in ks:
-                got = list(engine._explore(g, c, k, 10**7).items())
+                got = list(engine._search(g, k, 10**7, _mask(c))[1].seen.items())
                 _, want = naive_search(g, k, 10**7, _mask(c))
                 assert got == list(want.items())
                 compared += 1
@@ -581,14 +581,22 @@ def test_shortest_moves_match_naive_one_directional():
                 assert tuple((m.src, m.dst) for m in got.moves) == want
                 compared += 1
                 if s != t:
-                    meets, fwd, _ = engine._search(
-                        g, k, 10**7, _mask(s), _mask(t), whole_level=True
+                    (first, _), fwd, bwd = engine._search(
+                        g, k, 10**7, _mask(s), _mask(t)
                     )
-                    first = next(iter(meets))
                     meet_in_fwd += first in fwd.seen
                     meet_in_bwd += first not in fwd.seen
-                    wide_meets += len(meets) > 1
-    # both sides must have found meeting layers, some of several states
+                    # the states of F_a with a successor in B_b: the cone
+                    # layer P_a, of which _cone_path must take the first
+                    last = set(bwd.levels[-1])
+                    layer = [
+                        x
+                        for x in fwd.levels[-1]
+                        if last.intersection(mask_successors(g, x, k))
+                    ]
+                    wide_meets += len(layer) > 1
+    # both sides must have met first, and some meeting layers must hold
+    # several states
     assert compared >= 4000 and unreachable >= 700
     assert meet_in_fwd >= 1000 and meet_in_bwd >= 2500 and wide_meets >= 600
 
@@ -613,20 +621,18 @@ def test_shortest_replays_only_past_the_meeting_layer(monkeypatch):
             if len(s) != len(t) or s == t:
                 continue
             for k in ks:
-                meets, fwd, bwd = engine._search(
-                    g, k, 10**7, _mask(s), _mask(t), whole_level=True
-                )
-                if not meets:
+                meet, fwd, bwd = engine._search(g, k, 10**7, _mask(s), _mask(t))
+                if meet is None:
                     continue
                 a = len(fwd.levels) - 1
-                m = a if next(iter(meets)) in fwd.seen else a + 1
+                m = a if meet[0] in fwd.seen else a + 1
                 before = {x for level in fwd.levels[:m] for x in level}
                 expanded.clear()
                 with monkeypatch.context() as mp:
                     mp.setattr(engine, "_run", recording)
                     shortest(g, s, t, k)
                 assert before.isdisjoint(expanded)
-                assert all(x in meets or x in bwd.seen for x in expanded)
+                assert all(x in fwd.levels[a] or x in bwd.seen for x in expanded)
                 guarded += m > 0
     assert guarded >= 3000
 
@@ -653,6 +659,31 @@ def test_reachable_configs_cap_matches_naive_search():
                     assert want is None
                     finished += 1
     assert raised >= 5000 and finished >= 12000
+
+
+def test_shortest_hits_the_cap_exactly_when_decide_does():
+    # `shortest` runs `decide`'s search, so a cap it hits is one `decide`
+    # hits too, at the same point: a cap error never stands in for an
+    # answer `decide` gives
+    raised = finished = 0
+    for g, sets, ks in _search_corpus()[::5]:
+        rng = random.Random(g.n * 5 + len(g.edges))
+        s = rng.choice(sets)
+        t = rng.choice([c for c in sets if len(c) == len(s)])
+        for k in ks:
+            for cap in range(1, 21):
+                outcomes = []
+                for query in (decide, shortest):
+                    try:
+                        query(g, s, t, k, max_states=cap)
+                    except ResourceExhausted as exc:
+                        outcomes.append((exc.states, exc.depth, exc.frontier))
+                    else:
+                        outcomes.append(None)
+                assert outcomes[0] == outcomes[1]
+                raised += outcomes[0] is not None
+                finished += outcomes[0] is None
+    assert raised >= 3000 and finished >= 12000
 
 
 # ---------------------------------------------------------------------------

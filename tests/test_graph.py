@@ -682,6 +682,12 @@ def test_parse_edgelist_errors():
         ("c\np edge x 1\n", "malformed header at line 2: 'p edge x 1'"),
         ("p edge -1 0\n", "malformed header at line 1: 'p edge -1 0'"),
         ("p edge 3 1\ne 3 1\np edge 2 0\n", "second header at line 3: 'p edge 2 0'"),
+        # the header's edge count is read and checked
+        ("p edge 3 x\ne 1 2\n", "malformed header at line 1: 'p edge 3 x'"),
+        ("p edge 3 -1\n", "malformed header at line 1: 'p edge 3 -1'"),
+        ("p edge 3 5\ne 1 2\n", "header promises 5 edges, found 1"),
+        ("p edge 3 0\ne 1 2\n", "header promises 0 edges, found 1"),
+        ("c x\ne 1 2\np edge 2 1\n", "edge line before 'p edge' header at line 2: 'e 1 2'"),
     ]:
         with pytest.raises(GraphError) as exc:
             parse_edgelist(text)

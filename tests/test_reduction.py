@@ -62,6 +62,7 @@ def test_parse_errors():
         ("c x\np cnf 3 1\n1 2 3.0 0\n", "malformed literal at line 3: '1 2 3.0 0'"),
         ("p cnf -2 0\n", "malformed header at line 1: 'p cnf -2 0'"),
         ("p cnf 3 1\n1 2 3 0\np cnf 1 1\n", "second header at line 3: 'p cnf 1 1'"),
+        ("c x\n1 2 3 0\np cnf 3 1\n", "clause before 'p cnf' header at line 2: '1 2 3 0'"),
         # a clause is named by the line it starts on and its signed literals
         ("p cnf 3 1\n1 -2 0\n", "clause '1 -2' at line 2 has 2 literals, need 3"),
         ("p cnf 3 1\n1\n-2 0\n", "clause '1 -2' at line 2 has 2 literals, need 3"),
