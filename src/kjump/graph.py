@@ -566,9 +566,9 @@ def parse_edgelist(text):
             if n is not None:
                 raise GraphError(f"second header at line {lineno}: {line!r}")
             if (
-                len(parts) < 4
+                len(parts) != 4
                 or parts[1] not in ("edge", "edges")
-                or not all(_is_int(f) and int(f) >= 0 for f in parts[2:4])
+                or not all(_is_int(f) and int(f) >= 0 for f in parts[2:])
             ):
                 raise GraphError(f"malformed header at line {lineno}: {line!r}")
             n, m = int(parts[2]), int(parts[3])

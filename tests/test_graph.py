@@ -685,6 +685,7 @@ def test_parse_edgelist_errors():
         # the header's edge count is read and checked
         ("p edge 3 x\ne 1 2\n", "malformed header at line 1: 'p edge 3 x'"),
         ("p edge 3 -1\n", "malformed header at line 1: 'p edge 3 -1'"),
+        ("p edge 3 1 1\ne 1 2\n", "malformed header at line 1: 'p edge 3 1 1'"),
         ("p edge 3 5\ne 1 2\n", "header promises 5 edges, found 1"),
         ("p edge 3 0\ne 1 2\n", "header promises 0 edges, found 1"),
         ("c x\ne 1 2\np edge 2 1\n", "edge line before 'p edge' header at line 2: 'e 1 2'"),
