@@ -26,6 +26,7 @@ from .graph import (
     json_ints,
     json_object,
     parse_graph,
+    parse_json,
     recognize_split,
 )
 
@@ -39,7 +40,7 @@ def _read(path):
 
 def _load_instance(path):
     keys = ("graph", "start", "target", "k")
-    data = json_object(json.loads(_read(path)), "instance", keys)
+    data = json_object(parse_json(_read(path)), "instance", keys)
     return (
         graph_from_json(data["graph"]),
         frozenset(json_ints(data["start"], "start")),
@@ -120,7 +121,7 @@ def _cmd_decide2(args):
 
 def _cmd_simulate(args):
     g = parse_graph(_read(args.graph), args.format)
-    seq = engine.sequence_from_json(json.loads(_read(args.sequence)))
+    seq = engine.sequence_from_json(parse_json(_read(args.sequence)))
     out = simulate.simulate_sequence(g, seq, args.k)
     _emit({"k": args.k, "length": len(out), "sequence": engine.sequence_to_json(out)})
     return 0
@@ -134,7 +135,7 @@ def _cmd_reduce(args):
 
 
 def _cmd_witness(args):
-    inst = reduction.instance_from_json(json.loads(_read(args.instance)))
+    inst = reduction.instance_from_json(parse_json(_read(args.instance)))
     bits = args.assignment.strip()
     if not all(c in "01" for c in bits):
         raise reduction.CnfError(f"assignment must be a 0/1 string: {bits!r}")
@@ -145,8 +146,8 @@ def _cmd_witness(args):
 
 
 def _cmd_extract(args):
-    inst = reduction.instance_from_json(json.loads(_read(args.instance)))
-    seq = engine.sequence_from_json(json.loads(_read(args.sequence)))
+    inst = reduction.instance_from_json(parse_json(_read(args.instance)))
+    seq = engine.sequence_from_json(parse_json(_read(args.sequence)))
     assignment = reduction.sequence_to_assignment(inst, seq)
     _emit({"assignment": "".join("1" if b else "0" for b in assignment)})
     return 0
@@ -154,7 +155,7 @@ def _cmd_extract(args):
 
 def _cmd_verify(args):
     g, s, t, k = _load_instance(args.instance)
-    seq = engine.sequence_from_json(json.loads(_read(args.sequence)))
+    seq = engine.sequence_from_json(parse_json(_read(args.sequence)))
     report = engine.validate_sequence(g, seq, k)
     out = {"valid": report.ok}
     if not report.ok:
@@ -168,7 +169,7 @@ def _cmd_verify(args):
 
 
 def _cmd_stats(args):
-    inst = reduction.instance_from_json(json.loads(_read(args.instance)))
+    inst = reduction.instance_from_json(parse_json(_read(args.instance)))
     st = reduction.instance_stats(inst)
     _emit(
         {

@@ -15,9 +15,9 @@ from typing import NamedTuple
 from .graph import (
     GraphError,
     _bits,
-    _neighbourhood,
     _reach,
     _to_mask,
+    ball_levels,
     dist,
     is_independent,
     json_int,
@@ -416,65 +416,39 @@ def lower_bound_moves(g, s, t, k):
     """Minimum-cost perfect matching between start and target vertices with
     per-pair cost ceil(dist / k); a valid lower bound on sequence length since
     every token must end on some target vertex. Returns None when some token
-    cannot reach any target in every matching (unbounded marker).
-
-    Row i grows by a bitmask BFS from the i-th start vertex: a level is the
-    OR of the adjacency masks of the one before, and the row stops once
-    every target is met or the component is exhausted."""
-    bound = _MatchingBound(g, s, t, k)
-    adj = g.adj_mask
-    for i, u in enumerate(bound.starts):
-        seen = front = 1 << u
-        d = 0
-        while bound.meet(i, d, seen):
-            front = _neighbourhood(adj, front) & ~seen
-            if not front:
-                break
-            seen |= front
-            d += 1
-    return bound.total()
+    cannot reach any target in every matching (unbounded marker). The bound
+    of `diameter_and_bound`."""
+    return diameter_and_bound(g, s, t, k)[1]
 
 
-class _MatchingBound:
-    """The cost table of `lower_bound_moves`, filled from distance levels.
-    Entry (i, j) is ceil(d / k) for the least d with the j-th target vertex
-    within distance d of the i-th start vertex (both ascending), and
-    _UNREACHABLE while there is none. `meet` takes the levels of one row in
-    ascending d, from any source and with the rows in any order, so the
-    per-row BFS and one run of `ball_levels` fill the same table."""
+def diameter_and_bound(g, s, t, k):
+    """The diameter of g (None when g is empty or disconnected) and
+    `lower_bound_moves(g, s, t, k)`, from one run of `ball_levels`.
 
-    def __init__(self, g, s, t, k):
-        _check_pair(g, s, t, k)
-        self.starts = sorted(set(s))
-        tvs = sorted(set(t))
-        r = len(tvs)
-        self._k = k
-        self._col = {v: j for j, v in enumerate(tvs)}
-        self._left = [_to_mask(tvs)] * r  # targets row i has not met
-        # int32 rows, half the size of lists of ints: every cost is at most
-        # n or _UNREACHABLE = 10**9 < 2**31
-        self._rows = [array("i", [_UNREACHABLE]) * r for _ in range(r)]
-
-    def meet(self, i, d, ball):
-        """Give the targets in ball, the vertices within distance d of the
-        i-th start vertex, that row i has not met the cost ceil(d / k).
-        True while row i has targets left."""
-        left = self._left[i]
-        hit = ball & left
-        if hit:
-            left ^= hit
-            self._left[i] = left
-            c = -(-d // self._k)
-            row, col = self._rows[i], self._col
-            for v in _bits(hit):
-                row[col[v]] = c
-        return left != 0
-
-    def total(self):
-        """The minimum matching cost, or None when every matching pairs some
-        start with a target it never met."""
-        total = _min_cost_matching(self._rows)
-        return None if total >= _UNREACHABLE else total
+    Entry (i, j) of the cost table is ceil(d / k) for the first level d
+    whose ball of the i-th start vertex holds the j-th target vertex (both
+    ascending), and _UNREACHABLE when no level's does."""
+    _check_pair(g, s, t, k)
+    starts, tvs = sorted(set(s)), sorted(set(t))
+    col = {v: j for j, v in enumerate(tvs)}
+    left = [_to_mask(tvs)] * len(starts)  # the targets row i has not met
+    # int32 rows, half the size of lists of ints: every cost is at most n or
+    # _UNREACHABLE = 10**9 < 2**31
+    rows = [array("i", [_UNREACHABLE]) * len(tvs) for _ in starts]
+    d = balls = None
+    for d, balls in enumerate(ball_levels(g)):
+        cost = -(-d // k)
+        for i, u in enumerate(starts):
+            hit = balls[u] & left[i]
+            if hit:
+                left[i] ^= hit
+                row = rows[i]
+                for v in _bits(hit):
+                    row[col[v]] = cost
+    if balls is None or balls[0] != (1 << g.n) - 1:
+        d = None
+    total = _min_cost_matching(rows)
+    return d, None if total >= _UNREACHABLE else total
 
 
 def _min_cost_matching(cost):

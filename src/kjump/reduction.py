@@ -22,12 +22,12 @@ from .graph import (
     GraphError,
     _is_int,
     _to_mask,
-    ball_levels,
     graph_from_json,
     json_int,
     json_ints,
     json_list,
     json_object,
+    json_vertex,
     verify_peo,
 )
 from .engine import Move, MoveSequence
@@ -312,22 +312,8 @@ def instance_stats(inst):
     # so True means g has a perfect elimination ordering: g is chordal, and
     # find_peo's LexBFS could not fail on it. False is final either way.
     chordal = verify_peo(g, peo_order(inst))
-    diam, bound = diameter_and_bound(g, inst.start, inst.target, inst.k)
+    diam, bound = engine.diameter_and_bound(g, inst.start, inst.target, inst.k)
     return InstanceStats(g.n, len(inst.start), diam, chordal, bound)
-
-
-def diameter_and_bound(g, s, t, k):
-    """The diameter of g (None when g is empty or disconnected) and
-    `lower_bound_moves(g, s, t, k)`, from one run of `ball_levels`: the
-    bound's row for a start vertex u meets its targets in the balls of u."""
-    bound = engine._MatchingBound(g, s, t, k)
-    d = balls = None
-    for d, balls in enumerate(ball_levels(g)):
-        for i, u in enumerate(bound.starts):
-            bound.meet(i, d, balls[u])
-    if balls is None or balls[0] != (1 << g.n) - 1:
-        d = None
-    return d, bound.total()
 
 
 def instance_to_json(inst):
@@ -364,7 +350,7 @@ def instance_from_json(data):
     for v, lab in json_object(data["labelMap"], "labelMap").items():
         if not isinstance(lab, str):
             raise GraphError(f"label of vertex {v} must be a string, got {lab!r}")
-        labels[int(v)] = lab
+        labels[json_vertex(v, "labelMap")] = lab
     return ReductionInstance(
         graph_from_json(data["graph"]),
         json_int(data["k"], "k"),

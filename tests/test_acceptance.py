@@ -18,6 +18,7 @@ from kjump import engine
 from kjump.engine import (
     Move,
     MoveSequence,
+    diameter_and_bound,
     exists_within,
     lower_bound_moves,
     reachable_configs,
@@ -29,7 +30,6 @@ from kjump.reduction import (
     CnfFormula,
     assignment_to_sequence,
     build_instance,
-    diameter_and_bound,
     peo_order,
     sequence_to_assignment,
 )

@@ -322,6 +322,13 @@ MISSING_KEY_CASES = [
 ]
 
 
+LABEL_KEY_CASES = [
+    ("decide", {**GOOD_INSTANCE, "graph": {**GOOD_GRAPH, "labels": {"a": "x"}}}),
+    ("recognize", {**GOOD_GRAPH, "labels": {"0": "x", "1.5": "y"}}),
+    ("stats", {**_reduced_instance(), "labelMap": {"a": "v:0:0"}}),
+]
+
+
 @pytest.mark.parametrize(
     "command, doc",
     [
@@ -342,6 +349,7 @@ MISSING_KEY_CASES = [
         ("stats", {**_reduced_instance(), "formula": {"numVars": 3, "clauses": [["x"]]}}),
         ("stats", {**_reduced_instance(), "formula": {"numVars": 3, "clauses": [[1, 2, 9]]}}),
         ("stats", {**_reduced_instance(), "labelMap": {"0": [1]}}),
+        *LABEL_KEY_CASES,
         ("stats", {**_reduced_instance(), "start": {"0": 1}}),
         *MISSING_KEY_CASES,
     ],
@@ -379,6 +387,51 @@ def _run_on_doc(tmp_path, capsys, command, doc):
 )
 def test_missing_json_key_names_document_and_key(tmp_path, capsys, case, error):
     assert _run_on_doc(tmp_path, capsys, *case) == (2, {"error": error})
+
+
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        (LABEL_KEY_CASES[0], "labels key 'a' is not an integer vertex id"),
+        (LABEL_KEY_CASES[1], "labels key '1.5' is not an integer vertex id"),
+        (LABEL_KEY_CASES[2], "labelMap key 'a' is not an integer vertex id"),
+    ],
+)
+def test_non_integer_label_key_names_document_and_key(tmp_path, capsys, case, error):
+    assert _run_on_doc(tmp_path, capsys, *case) == (2, {"error": error})
+
+
+# every subcommand that reads JSON, with each of its JSON files in turn
+# nested past the parser's recursion limit (D); G, I, S and R are valid
+DEEP_JSON_ARGVS = [
+    ["recognize", "D"],
+    ["decide", "D"],
+    ["shortest", "D"],
+    ["decide2", "D"],
+    ["simulate", "D", "S", "--k", "3"],
+    ["simulate", "G", "D", "--k", "3"],
+    ["witness", "D", "--assignment", "100"],
+    ["extract", "D", "S"],
+    ["extract", "R", "D"],
+    ["verify", "D", "S"],
+    ["verify", "I", "D"],
+    ["stats", "D"],
+]
+
+
+@pytest.mark.parametrize("argv", DEEP_JSON_ARGVS, ids=" ".join)
+def test_deeply_nested_json_is_exit_two(tmp_path, capsys, argv):
+    files = {
+        "D": write(tmp_path, "deep.json", "[" * 200_000 + "]" * 200_000),
+        "G": write(tmp_path, "g.json", GOOD_GRAPH),
+        "I": write(tmp_path, "i.json", GOOD_INSTANCE),
+        "S": write(tmp_path, "s.json", GOOD_SEQUENCE),
+        "R": write(tmp_path, "r.json", _reduced_instance()),
+    }
+    assert run([files.get(a, a) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "JSON input is nested too deeply"}
 
 
 def test_missing_gadget_label_names_label_and_document(tmp_path, capsys):

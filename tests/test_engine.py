@@ -17,6 +17,7 @@ from kjump.engine import (
     ResourceExhausted,
     _to_mask,
     decide,
+    diameter_and_bound,
     exists_within,
     k_adjacent,
     lower_bound_moves,
@@ -27,8 +28,8 @@ from kjump.engine import (
     successors,
     validate_sequence,
 )
-from kjump.graph import GraphError, build_graph, diameter, dist
-from kjump.reduction import CnfFormula, build_instance, diameter_and_bound
+from kjump.graph import _SCAN_ABOVE, GraphError, build_graph, diameter, dist
+from kjump.reduction import CnfFormula, build_instance
 from kjump.simulate import SimulationError, _emit
 
 from conftest import (
@@ -428,8 +429,8 @@ def test_lower_bound_matches_naive_costs():
     # connected graphs (long paths and cycles among them, so that distances
     # reach several levels), disjoint unions of two and graphs with isolated
     # vertices, so that some pairs can only be matched across components;
-    # the per-row BFS of lower_bound_moves and the one run of ball levels
-    # behind `kjump stats`, which also gives the diameter, fill the same table
+    # the one run of ball levels behind lower_bound_moves and `kjump stats`
+    # fills the cost table and gives the diameter
     graphs = random_graphs(20, 9, seed=89) + random_graphs(10, 14, seed=92)
     graphs += [path_graph(12), cycle_graph(13)]
     halves = random_graphs(20, 5, seed=90)
@@ -889,7 +890,18 @@ def test_succ_moves_ascending_src_then_dst():
 
 
 def test_from_mask_round_trip():
-    for vs in ([], [0], [3, 5, 64], list(range(0, 200, 7))):
+    cases = [[], [0], [3, 5, 64], list(range(0, 200, 7))]
+    # masks on both sides of the cut where _bits scans the binary string,
+    # low and high bits included, on masks of 28, 500 and 14,000 bits
+    rng = random.Random(137)
+    cut = _SCAN_ABOVE
+    for n in (28, 500, 14_000):
+        for size in (1, cut - 1, cut, cut + 1, min(n, 3 * cut), n):
+            if size <= n:
+                cases.append(rng.sample(range(n), size))
+        cases.append([0, n - 1])
+    assert {len(vs) <= cut for vs in cases} == {True, False}
+    for vs in cases:
         m = engine._to_mask(vs)
         assert engine._from_mask(m) == frozenset(vs)
         assert engine._bits(m) == sorted(vs)

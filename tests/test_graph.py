@@ -139,8 +139,10 @@ def test_mask_graph_matches_list_graph(monkeypatch):
         rng.shuffle(pairs)
         check_against_list_graph(build_graph(n, pairs), pairs)
         checked["random"] += 1
-    for n in range(60, 70):  # a graph on more than 64 vertices keeps its edge list
-        pairs = [(v, u) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.1]
+    # graphs on both sides of 64 vertices, where a mask stops being one
+    # machine word; the dense one has rows on both sides of the _bits cut
+    for n, p in [(n, 0.1) for n in range(60, 70)] + [(66, 0.9)]:
+        pairs = [(v, u) for u, v in itertools.combinations(range(n), 2) if rng.random() < p]
         rng.shuffle(pairs)
         check_against_list_graph(build_graph(n, pairs), pairs)
         checked["large"] += 1
@@ -157,18 +159,18 @@ def test_mask_graph_matches_list_graph(monkeypatch):
             check_against_list_graph(g, given.pop())
             checked["reduction"] += 1
     assert checked == {
-        "atlas": len(atlas_graphs(7)), "random": 2000, "large": 10, "reduction": 18
+        "atlas": len(atlas_graphs(7)), "random": 2000, "large": 11, "reduction": 18
     }
 
 
 def test_small_graph_holds_no_pair_objects():
-    # on at most 64 vertices a graph keeps no edge list, so it holds on to
-    # none of the caller's pair objects; a larger one keeps the list
-    for n in (2, 64, 65):
+    # a graph is its masks: at every n it holds on to none of the caller's
+    # pair objects, and its edges are read back off the masks
+    for n in (2, 64, 65, 500):
         pairs = [[v, v + 1] for v in range(n - 1)]  # lists, as JSON gives them
         g = build_graph(n, pairs)
         referrers = [r for p in pairs for r in gc.get_referrers(p) if r is not pairs]
-        assert (referrers == []) == (n <= 64), n
+        assert referrers == [], n
         assert [list(e) for e in sorted(g.edges)] == pairs
 
 

@@ -111,7 +111,7 @@ def test_compiler_leaves_no_balls_on_the_graph():
 
 def test_compiler_builds_no_neighbour_tuples():
     # the parent tree grows by mask scan, so the compiler never builds the
-    # lazy Graph.adj, which above 64 vertices copies the kept edge list
+    # lazy Graph.adj, which reads every mask
     g = path_graph(100)
     seq = MoveSequence(frozenset({0, 99}), (Move(0, 50), Move(99, 2)), 99)
     out = simulate_sequence(g, seq, 3)
