@@ -349,9 +349,9 @@ LABEL_KEY_CASES = [
         ("stats", {**_reduced_instance(), "formula": {"numVars": 3, "clauses": [["x"]]}}),
         ("stats", {**_reduced_instance(), "formula": {"numVars": 3, "clauses": [[1, 2, 9]]}}),
         ("stats", {**_reduced_instance(), "labelMap": {"0": [1]}}),
-        *LABEL_KEY_CASES,
         ("stats", {**_reduced_instance(), "start": {"0": 1}}),
         *MISSING_KEY_CASES,
+        *LABEL_KEY_CASES,
     ],
 )
 def test_bad_json_shape_is_exit_two(tmp_path, capsys, command, doc):

@@ -896,10 +896,8 @@ def test_from_mask_round_trip():
     rng = random.Random(137)
     cut = _SCAN_ABOVE
     for n in (28, 500, 14_000):
-        for size in (1, cut - 1, cut, cut + 1, min(n, 3 * cut), n):
-            if size <= n:
-                cases.append(rng.sample(range(n), size))
-        cases.append([0, n - 1])
+        sizes = (1, cut - 1, cut, cut + 1, min(n, 3 * cut), n)
+        cases += [rng.sample(range(n), size) for size in sizes] + [[0, n - 1]]
     assert {len(vs) <= cut for vs in cases} == {True, False}
     for vs in cases:
         m = engine._to_mask(vs)
