@@ -185,12 +185,9 @@ def _cmd_stats(args):
 
 def _cmd_gen(args):
     rng = random.Random(args.seed)
-    if args.kind == "connected":
-        g = random_connected_graph(args.n, rng)
-    elif args.kind == "split":
-        g = random_split_graph(args.n, rng)
-    else:
-        raise GraphError(f"unknown generator kind: {args.kind}")
+    # argparse's choices admit only the two kinds
+    gen = random_connected_graph if args.kind == "connected" else random_split_graph
+    g = gen(args.n, rng)
     out = {"graph": graph_to_json(g)}
     if args.with_pair:
         s, t = random_pair(g, rng, max_size=args.max_tokens)

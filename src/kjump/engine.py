@@ -310,10 +310,7 @@ def shortest(g, s, t, k, max_states=DEFAULT_STATE_CAP):
     level of the loop per backward level the rest: see _cone_path."""
     _check_pair(g, s, t, k)
     s = frozenset(s)
-    smask, tmask = _to_mask(s), _to_mask(t)
-    if smask == tmask:
-        return MoveSequence(s, (), k)
-    meet, fwd, bwd = _search(g, k, max_states, smask, tmask)
+    meet, fwd, bwd = _search(g, k, max_states, _to_mask(s), _to_mask(t))
     if meet is None:
         return None
     path = _cone_path(g, k, meet, fwd, bwd)

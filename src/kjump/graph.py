@@ -260,8 +260,8 @@ class Cluster:
 
     u_side lies in the independent part, v_side in the clique part. nbhd is
     the neighborhood (within the cluster) of vmin, a minimum-degree vertex of
-    v_side. Pseudo-clusters collect clique vertices with no independent-side
-    neighbor and have u_side = nbhd = empty.
+    v_side. u_side is never empty; vmin is None (and v_side, nbhd empty) only
+    for the cluster of an isolated vertex.
     """
 
     u_side: frozenset
@@ -382,6 +382,14 @@ def recognize_split(g):
     v is movable. Hence if no vertex is movable, (K0, I0) is the only
     partition with the largest independent part; otherwise moving the largest
     movable vertex gives the lexicographically smallest clique part.
+
+    Every clique vertex then has an independent neighbour: by definition
+    with no movable vertex, else it sees the moved one. So every cluster has
+    an independent side, and alpha(g) = |indep_part|: an independent set
+    holds at most one clique vertex, and then misses its independent
+    neighbour. Clusters are the components of bip[v] = adj[v] & (the other
+    part), by a mask BFS from the lowest unvisited vertex, stably sorted by
+    |nbhd|.
     """
     part = _degree_partition(g)
     if part is None:
@@ -395,18 +403,10 @@ def recognize_split(g):
         y = max(movable)
         kpart.discard(y)
         ipart.add(y)
-    return _decompose(g, frozenset(kpart), frozenset(ipart))
-
-
-def _decompose(g, kpart, ipart):
-    """Clusters: components of bip[v] = adj[v] & (the other part), by a mask
-    BFS from the lowest unvisited vertex, then one pseudo-cluster of the
-    clique vertices with no bip neighbour; stably sorted by |nbhd|."""
-    adj, imask = g.adj_mask, _to_mask(ipart)
+        imask |= 1 << y
     kmask = ((1 << g.n) - 1) & ~imask
     bip = [adj[v] & (kmask if imask >> v & 1 else imask) for v in range(g.n)]
-    pseudo = _to_mask(v for v in kpart if not bip[v])
-    unseen = ((1 << g.n) - 1) & ~pseudo
+    unseen = (1 << g.n) - 1
     clusters = []
     while unseen:
         comp = _reach(bip, unseen & -unseen)
@@ -415,11 +415,8 @@ def _decompose(g, kpart, ipart):
         vmin = min(v_side, key=lambda x: (bip[x].bit_count(), x), default=None)
         nbhd = frozenset(_bits(bip[vmin])) if v_side else frozenset()
         clusters.append(Cluster(u_side, frozenset(v_side), vmin, nbhd))
-    if pseudo:
-        pv = _bits(pseudo)
-        clusters.append(Cluster(frozenset(), frozenset(pv), pv[0], frozenset()))
     clusters.sort(key=lambda c: len(c.nbhd))
-    return SplitDecomposition(kpart, ipart, tuple(clusters))
+    return SplitDecomposition(frozenset(kpart), frozenset(ipart), tuple(clusters))
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +593,7 @@ def parse_edgelist(text):
                 raise GraphError(
                     f"edge line before 'p edge' header at line {lineno}: {line!r}"
                 )
-            if len(parts) < 3 or not (_is_int(parts[1]) and _is_int(parts[2])):
+            if len(parts) != 3 or not (_is_int(parts[1]) and _is_int(parts[2])):
                 raise GraphError(f"malformed edge at line {lineno}: {line!r}")
             u, v = int(parts[1]), int(parts[2])
             if not (1 <= u <= n and 1 <= v <= n):

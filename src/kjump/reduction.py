@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 
 from . import engine
 from .graph import (
@@ -166,8 +166,8 @@ def build_instance(phi, k):
         raise GraphError("reduction requires k >= 3")
     m, n = len(phi.clauses), phi.num_vars
     labels = {}
-    edges = []  # the construction makes each edge once
-    add = edges.append
+    clause_edges = []  # the construction makes each edge once
+    add = clause_edges.append
 
     clause_base = [i * (2 * k + 3) for i in range(m)]
     var_base = [m * (2 * k + 3) + j * (k + 2) for j in range(n)]
@@ -184,12 +184,14 @@ def build_instance(phi, k):
             add((kx, base + k - 1))
             add((kx, base + k + 1))
 
-    # K = {k_0, k_1 (= v_k), k_2 over all clauses} forms a clique.
+    # K = {k_0, k_1 (= v_k), k_2 over all clauses} forms a clique. Its pairs
+    # stream into Graph before the clause-variable edges widen its masks.
     kvs = []
     for i in range(m):
         base = clause_base[i]
         kvs.extend([base + 2 * k + 1, base + k, base + 2 * k + 2])
-    edges.extend(combinations(kvs, 2))
+    rest = []
+    add = rest.append
 
     for j in range(n):
         base = var_base[j]
@@ -212,7 +214,7 @@ def build_instance(phi, k):
             add((vb, rho[pos]))  # t_0 = u_0
 
     total = m * (2 * k + 3) + n * (k + 2)
-    g = Graph(total, edges, labels)
+    g = Graph(total, chain(clause_edges, combinations(kvs, 2), rest), labels)
     start = frozenset(
         [clause_base[i] for i in range(m)]
         + [var_base[j] + k for j in range(n)]

@@ -126,9 +126,6 @@ def decide2(g, s, t, dec=None):
     if iso:
         clusters = tuple(c for c in dec.clusters if c.v_side)
         dec = replace(dec, indep_part=dec.indep_part - iso, clusters=clusters)
-    if len(s) > len(dec.indep_part):
-        trace.append("more tokens than independent-part vertices: always yes")
-        return Decision(True, trace)
 
     s = normalize_typical(g, dec, s)
     t = normalize_typical(g, dec, t)

@@ -389,8 +389,8 @@ def naive_find_c5(g):
 
 def naive_decompose(g, kpart, ipart):
     """Clusters of a split partition by a DFS over neighbour lists: the
-    list-based `graph._decompose` that the mask BFS replaced, kept verbatim
-    as its reference."""
+    list-based decomposition that the mask BFS of `recognize_split`
+    replaced, kept verbatim as its reference."""
     from kjump.graph import Cluster, SplitDecomposition, _bits, _to_mask
 
     adj, imask = g.adj_mask, _to_mask(ipart)

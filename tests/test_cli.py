@@ -96,6 +96,7 @@ def test_recognize_edgelist_short_edge_line(tmp_path):
         ("p edge 3 1\ne 0 1\n", "edge endpoint out of range 1..3 at line 2: 'e 0 1'"),
         ("p edge 3 1\ne 1 4\n", "edge endpoint out of range 1..3 at line 2: 'e 1 4'"),
         ("c x\np edge 3 1\ne 1 x\n", "malformed edge at line 3: 'e 1 x'"),
+        ("p edge 3 1\ne 1 2 junk\n", "malformed edge at line 2: 'e 1 2 junk'"),
         ("p edge x 1\n", "malformed header at line 1: 'p edge x 1'"),
         ("p edge 3 2\ne 1 1\n", "self-loop at line 2: 'e 1 1'"),
         ("p edge 3 2\ne 1 2\nc x\ne 2 1\n", "duplicate edge at line 4: 'e 2 1'"),
@@ -105,12 +106,14 @@ def test_recognize_edgelist_short_edge_line(tmp_path):
         ("p edge 3 x\ne 1 2\n", "malformed header at line 1: 'p edge 3 x'"),
         ("p edge 3 5\ne 1 2\n", "header promises 5 edges, found 1"),
         ("c x\ne 1 2\np edge 2 1\n", "edge line before 'p edge' header at line 2: 'e 1 2'"),
+        ("c only a comment\n", "missing 'p edge' header"),
     ],
 )
 def test_recognize_edgelist_bad_field_is_exit_two(tmp_path, capsys, text, error):
-    # a non-integer field, an endpoint outside 1..n, a self-loop, a repeated
-    # edge or an edge before the header is named by its line and the file's
-    # own 1-based ids; an edge count unlike the header's is an error too
+    # a non-integer or stray field, an endpoint outside 1..n, a self-loop, a
+    # repeated edge or an edge before the header is named by its line and the
+    # file's own 1-based ids; an edge count unlike the header's, or no
+    # header at all, is an error too
     code = run(["recognize", write(tmp_path, "g.col", text), "--format", "edgelist"])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
@@ -129,6 +132,7 @@ def test_recognize_edgelist_bad_field_is_exit_two(tmp_path, capsys, text, error)
         ("p cnf 3 1\n1 -2 0\n", "clause '1 -2' at line 2 has 2 literals, need 3"),
         ("p cnf 3 1\n1 -2 3\n", "unterminated clause '1 -2 3' at line 2"),
         ("p cnf 2 1\n1 -3 2 0\n", "variable 3 out of range 1..2 at line 2: '1 -3 2 0'"),
+        ("c only a comment\n", "missing 'p cnf' header"),
     ],
 )
 def test_reduce_cnf_bad_field_is_exit_two(tmp_path, capsys, text, error):
@@ -296,6 +300,9 @@ def test_usage_and_input_errors(tmp_path, capsys):
     bad = write(tmp_path, "bad.json", "{not json")
     assert run(["decide", bad]) == 2
     capsys.readouterr()
+    # argparse's choices turn away an unknown generator kind
+    assert run(["gen", "bogus", "--n", "3"]) == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 GOOD_GRAPH = {"n": 3, "edges": [[0, 1], [1, 2]]}

@@ -8,6 +8,8 @@ import json
 import random
 import time
 
+import pytest
+
 from kjump import cli
 from kjump.generators import (
     _clique_cover_size,
@@ -121,3 +123,10 @@ def test_gen_connected_large_n():
     assert doc["n"] == 300
     for n in (33, 100, 1000):
         assert is_connected(random_connected_graph(n, random.Random(n)))
+
+
+def test_connected_graph_needs_a_vertex():
+    for n in (0, -1):
+        with pytest.raises(ValueError) as exc:
+            random_connected_graph(n, random.Random(0))
+        assert str(exc.value) == "n must be positive"

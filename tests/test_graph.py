@@ -146,9 +146,10 @@ def test_mask_graph_matches_list_graph(monkeypatch):
         rng.shuffle(pairs)
         check_against_list_graph(build_graph(n, pairs), pairs)
         checked["large"] += 1
-    given = []  # the edge lists build_instance passes to Graph
+    given = []  # the edges build_instance passes to Graph, as a list
 
     def recording(n, edges, labels):
+        edges = list(edges)  # a stream, which Graph alone would use up
         given.append(edges)
         return Graph(n, edges, labels)
 
@@ -261,6 +262,12 @@ def test_diameter_disconnected_raises():
         diameter(build_graph(3, [(0, 1)]))
 
 
+def test_diameter_empty_graph_raises():
+    with pytest.raises(GraphError) as exc:
+        diameter(build_graph(0, []))
+    assert str(exc.value) == "diameter of empty graph"
+
+
 def test_is_connected():
     assert is_connected(path_graph(5))
     assert not is_connected(build_graph(3, [(0, 1)]))
@@ -368,20 +375,26 @@ def test_two_cluster_decomposition():
     assert sides == {frozenset({2, 3}), frozenset({4, 5})}
 
 
-def test_pseudo_cluster_collects_bare_clique_vertices():
-    # Pseudo-clusters only arise for non-canonical partitions: a clique
-    # vertex with no independent neighbor is movable, so the canonical
-    # max-|U^B| rule always empties them. Exercise the rule directly.
-    from kjump.graph import _decompose
+def test_canonical_partition_leaves_no_bare_clique_vertex():
+    # every clique vertex of the canonical partition sees the independent
+    # part, so every cluster has an independent side and alpha(g) equals
+    # |indep_part|, by brute force on the atlas and on random split graphs
+    def alpha(adj, mask):
+        if not mask:
+            return 0
+        v = (mask & -mask).bit_length() - 1
+        rest = mask & ~(1 << v)
+        return max(alpha(adj, rest), 1 + alpha(adj, rest & ~adj[v]))
 
-    g = build_graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4)])
-    dec = _decompose(g, frozenset({0, 1, 2}), frozenset({3, 4}))
-    pseudo = [c for c in dec.clusters if not c.u_side]
-    assert len(pseudo) == 1
-    assert pseudo[0].v_side == frozenset({1, 2})
-    assert pseudo[0].n_size == 0
-    # and the canonical recognizer indeed leaves no pseudo-cluster
-    assert all(c.u_side for c in recognize_split(g).clusters)
+    rng = random.Random(17)
+    graphs = list(split_graphs_upto(8))
+    graphs += [random_split_graph(rng.randint(1, 14), rng) for _ in range(300)]
+    for g in graphs:
+        dec = recognize_split(g)
+        imask = sum(1 << v for v in dec.indep_part)
+        assert all(g.adj_mask[v] & imask for v in dec.clique_part), g.edges
+        assert all(c.u_side for c in dec.clusters), g.edges
+        assert alpha(g.adj_mask, (1 << g.n) - 1) == len(dec.indep_part), g.edges
 
 
 def test_clusters_sorted_by_neighborhood_size():
@@ -681,6 +694,7 @@ def test_parse_edgelist_errors():
         ("p edge 3 2\ne 1 2\ne 3 -1\n", "edge endpoint out of range 1..3 at line 3: 'e 3 -1'"),
         ("p edge 3 1\ne 1 x\n", "malformed edge at line 2: 'e 1 x'"),
         ("p edge 3 1\ne 2.0 1\n", "malformed edge at line 2: 'e 2.0 1'"),
+        ("p edge 3 1\ne 1 2 junk\n", "malformed edge at line 2: 'e 1 2 junk'"),
         ("c\np edge x 1\n", "malformed header at line 2: 'p edge x 1'"),
         ("p edge -1 0\n", "malformed header at line 1: 'p edge -1 0'"),
         ("p edge 3 1\ne 3 1\np edge 2 0\n", "second header at line 3: 'p edge 2 0'"),
@@ -691,6 +705,7 @@ def test_parse_edgelist_errors():
         ("p edge 3 5\ne 1 2\n", "header promises 5 edges, found 1"),
         ("p edge 3 0\ne 1 2\n", "header promises 0 edges, found 1"),
         ("c x\ne 1 2\np edge 2 1\n", "edge line before 'p edge' header at line 2: 'e 1 2'"),
+        ("c only a comment\n", "missing 'p edge' header"),
     ]:
         with pytest.raises(GraphError) as exc:
             parse_edgelist(text)

@@ -1,5 +1,7 @@
 import itertools
 import json
+import random
+import tracemalloc
 
 import pytest
 
@@ -71,6 +73,7 @@ def test_parse_errors():
         ("p cnf 3 1\n1 -2\n3\n", "unterminated clause '1 -2 3' at line 2"),
         ("p cnf 2 1\n1 -3 2 0\n", "variable 3 out of range 1..2 at line 2: '1 -3 2 0'"),
         ("p cnf 3 2\n1 2 3 0\n-1 -4 0\n", "variable 4 out of range 1..3 at line 3: '-1 -4 0'"),
+        ("c only a comment\n", "missing 'p cnf' header"),
     ],
 )
 def test_parse_names_line_of_bad_field(text, error):
@@ -120,6 +123,27 @@ def test_k_vertices_form_clique():
     kvs = [inst.kv(i, x) for i in range(2) for x in range(3)]
     for a, b in itertools.combinations(kvs, 2):
         assert inst.graph.has_edge(a, b)
+
+
+def test_build_streams_its_edges():
+    # m = n = 100 at k = 3: the 44,850 clique pairs stream into Graph, so the
+    # build's peak stays within twice what the instance holds afterwards,
+    # where a list of them peaks at about six times
+    rng = random.Random(100)
+    n = m = 100
+    clauses = tuple(
+        tuple((v, rng.random() < 0.5) for v in rng.sample(range(n), 3))
+        for _ in range(m)
+    )
+    phi = CnfFormula(n, clauses)
+    tracemalloc.start()
+    try:
+        inst = build_instance(phi, 3)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inst.graph.n == 1400
+    assert peak <= 2 * held, (peak, held)
 
 
 def test_start_and_target_sets():

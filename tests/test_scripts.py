@@ -36,6 +36,27 @@ def test_script_runs(script):
     assert expect in proc.stdout
 
 
+def test_dead_lines_reports_statements_that_never_ran():
+    # one test of random_connected_graph's guard: the guard's raise ran and
+    # is not listed; shortest, which that test never calls, is
+    test = os.path.join(ROOT, "tests", "test_generators.py")
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "dead_lines.py"),
+         test, "-q", "-p", "no:cacheprovider", "-k", "needs_a_vertex"],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1].endswith("statements never ran; pytest exit status 0")
+    dead = [line for line in lines if line.startswith("src/kjump/")]
+    assert not [x for x in dead if 'raise ValueError("n must be positive")' in x]
+    assert [x for x in dead if x.startswith("src/kjump/generators.py:")]
+    assert [x for x in dead if "path = _cone_path(g, k, meet, fwd, bwd)" in x]
+
+
 def test_bench_pair_writes_bench_schema(tmp_path):
     # a one-commit repository holding what a benchmark run needs, with the
     # script inside it, so both sides are clean clones of that commit

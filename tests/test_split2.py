@@ -25,7 +25,6 @@ from kjump.split2 import (
 )
 
 from conftest import (
-    brute_split_partitions,
     independent_sets,
     naive_decide,
     naive_decompose,
@@ -90,12 +89,18 @@ def test_classify_examples(two_per_side):
     assert kinds[1] is ClusterKind.FREE and d[1] != caps[1]
 
 
-def test_pseudo_cluster_classified_free():
-    # A pseudo-cluster (empty U side, |N|=0) always classifies as Free+full.
-    from kjump.graph import _decompose
+def _dec_with_bare_clique_vertices():
+    # clique {0, 1, 2} and independent side {3, 4}, both neighbours of 0 only:
+    # a partition recognize_split never gives, as 1 and 2 see no independent
+    # vertex, so the cluster of 1 and 2 has an empty U side and |N| = 0
+    bare = Cluster(frozenset(), frozenset({1, 2}), 1, frozenset())
+    full = Cluster(frozenset({3, 4}), frozenset({0}), 0, frozenset({3, 4}))
+    return SplitDecomposition(frozenset({0, 1, 2}), frozenset({3, 4}), (bare, full))
 
-    g = build_graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4)])
-    dec = _decompose(g, frozenset({0, 1, 2}), frozenset({3, 4}))
+
+def test_pseudo_cluster_classified_free():
+    # A cluster with an empty U side and |N|=0 always classifies as Free+full.
+    dec = _dec_with_bare_clique_vertices()
     pseudo_idx = next(i for i, c in enumerate(dec.clusters) if not c.u_side)
     d = distribution(dec, {3, 4})
     assert classify(dec, d)[pseudo_idx] is ClusterKind.FREE
@@ -131,20 +136,15 @@ def _reference_graphs():
 
 
 def test_decompose_matches_list_reference():
-    # the mask BFS gives the clusters, their order, vmin and nbhd of the
-    # neighbour-list DFS, on every split partition of the atlas graphs and
-    # the canonical one of the random graphs
-    from kjump.graph import _decompose
-
+    # the mask BFS of recognize_split gives the clusters, their order, vmin
+    # and nbhd of the neighbour-list DFS, on the canonical partition of every
+    # atlas and random graph
     checked = 0
     for g in _reference_graphs():
-        parts = brute_split_partitions(g) if g.n <= 8 else []
         dec = recognize_split(g)
-        for kpart, ipart in parts + [(dec.clique_part, dec.indep_part)]:
-            got = _decompose(g, kpart, ipart)
-            assert got == naive_decompose(g, kpart, ipart), (g.edges, kpart)
-            checked += 1
-    assert checked > 3000
+        assert dec == naive_decompose(g, dec.clique_part, dec.indep_part), g.edges
+        checked += 1
+    assert checked == 814 + 300
 
 
 def test_frozen_is_empty_freeable_set():
@@ -255,10 +255,7 @@ def test_condition_two_case_form():
 
 def test_condition_zero_neighborhood():
     # |N_i| = 0 reduces the condition to |U^B| >= size, true for typical sets
-    from kjump.graph import _decompose
-
-    g = build_graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4)])
-    dec = _decompose(g, frozenset({0, 1, 2}), frozenset({3, 4}))
+    dec = _dec_with_bare_clique_vertices()
     i = next(i for i, c in enumerate(dec.clusters) if c.n_size == 0)
     for size in range(len(dec.indep_part) + 1):
         assert condition(dec, size, i)
