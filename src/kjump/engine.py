@@ -138,7 +138,7 @@ def successors(g, c, k):
 class _Side:
     """One direction of a search: the parent map in discovery order, the
     BFS levels found so far (`levels[-1]` is the frontier), and the hub
-    cache, hub -> mask of the completions already handled from it."""
+    cache, hub -> mask of the completions still open from it."""
 
     __slots__ = ("seen", "levels", "known")
 
@@ -171,13 +171,17 @@ def _run(g, k, max_states, sides, budget=None):
     out. The cap counts the states of all sides.
 
     A move takes a token off u and puts it on a vertex v of ball[u] outside
-    the closed neighbourhood of the other tokens, ball[u] & (free | adj[u] &
-    alone), tried in ascending (u, v) order. The tokens left behind form the
-    move's hub y = cur - u, shared by every state y + v. Each side keeps,
-    per hub, the completions v it has already handled, so expanding another
-    state of the same hub skips them; the other states are still checked
-    against `seen`. Skipped states are all seen states, so discovery order,
-    parents and the meeting point are those of a search without the cache.
+    the closed neighbourhood of the other tokens, tried in ascending (u, v)
+    order. The tokens left behind form the move's hub y = cur - u, shared
+    by every state y + v, v in A(y), the vertices outside y and N(y). Each
+    side keeps, per hub, the completions still open: A(y) less the vertex u
+    of the state that stored it and the completions already handled. So a
+    state reads each of its hubs from the cache, and only a state with a
+    new hub runs the neighbourhood pass that gives A(y) - {u} = free |
+    adj[u] & alone. The open completions are still checked against `seen`,
+    and a hub is stored once some move leaves from it. Every
+    state the cache skips is a seen state, so discovery order, parents and
+    the meeting point are those of a search without the cache.
 
     Returns the first meet, (state, its discoverer on the side that found
     it), or None."""
@@ -190,34 +194,35 @@ def _run(g, k, max_states, sides, budget=None):
         seen, known = side.seen, side.known
         nxt_front = []
         for cur in side.levels[-1]:
-            # the tokens, the vertices neither holding nor next to a token
-            # (free) and the neighbours of exactly one (alone), in one pass:
-            # this is the hot loop
-            toks = []
-            once = twice = 0
+            free = None
             m = cur
             while m:
                 low = m & -m
-                u = low.bit_length() - 1
-                toks.append(u)
-                nb = adj[u]
-                twice |= once & nb
-                once |= nb
                 m ^= low
-            free, alone = ~(cur | once), once & ~twice
-            for u in toks:
+                u = low.bit_length() - 1
+                y = cur ^ low
+                rest = known.get(y)
+                if rest is None:
+                    if free is None:
+                        # the vertices neither holding nor next to a token
+                        # (free) and the neighbours of exactly one (alone),
+                        # in one pass, only for a state with a new hub
+                        once = twice = 0
+                        t = cur
+                        while t:
+                            nb = adj[(t & -t).bit_length() - 1]
+                            twice |= once & nb
+                            once |= nb
+                            t &= t - 1
+                        free, alone = ~(cur | once), once & ~twice
+                    rest = free | adj[u] & alone
                 b = ball[u]
                 if b is None:
                     b = ball[u] = _ball(g, u, k)
-                dests = b & (free | adj[u] & alone)
+                dests = b & rest
                 if not dests:
                     continue
-                y = cur ^ (1 << u)
-                done = known.get(y, 0)
-                dests &= ~done
-                if not dests:
-                    continue
-                known[y] = done | dests
+                known[y] = rest ^ dests
                 while dests:
                     low = dests & -dests
                     dests ^= low

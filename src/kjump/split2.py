@@ -41,7 +41,11 @@ def normalize_typical(g, dec, config):
     if not clique_tokens:
         return config
     if len(config) > len(dec.indep_part):
-        raise GraphError("no room in the independent part; trivial-yes regime")
+        raise GraphError(
+            f"configuration has {len(config)} tokens, more than the"
+            f" {len(dec.indep_part)} vertices of the independent part,"
+            " so it is not an independent set"
+        )
     (a,) = clique_tokens
     target = min(v for v in dec.indep_part if v not in config)
     return config - {a} | {target}

@@ -293,6 +293,16 @@ def test_gen_is_seed_deterministic(capsys):
     assert "start" in payload and "k" in payload
 
 
+@pytest.mark.parametrize("kind", ["split", "connected"])
+@pytest.mark.parametrize("n", ["-1", "0"])
+def test_gen_needs_a_vertex(capsys, kind, n):
+    # a split graph on no vertices is no instance, as a connected one is not
+    assert run(["gen", kind, "--n", n, "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "n must be positive"}
+
+
 def test_usage_and_input_errors(tmp_path, capsys):
     assert run(["no-such-command"]) == 2
     capsys.readouterr()

@@ -28,6 +28,7 @@ from kjump.engine import (
     successors,
     validate_sequence,
 )
+from kjump.generators import random_connected_graph, random_independent_set
 from kjump.graph import _SCAN_ABOVE, GraphError, build_graph, diameter, dist
 from kjump.reduction import CnfFormula, build_instance
 from kjump.simulate import SimulationError, _emit
@@ -573,6 +574,40 @@ def test_explore_parent_map_matches_naive_search():
                 assert got == list(want.items())
                 compared += 1
     assert compared >= 12000
+
+
+def test_parent_maps_match_naive_search_with_more_tokens():
+    """Hubs are shared most when there are many tokens: 4 to 6 tokens on
+    seeded random connected graphs of 10 to 14 vertices, at k = 1, 2, 3
+    and D. The parent map must equal naive_search's in order, and
+    `shortest` must give naive_shortest_moves's moves."""
+    rng = random.Random(181)
+    compared = paths = unreachable = states = 0
+    for _ in range(120):
+        g = random_connected_graph(rng.randint(10, 14), rng)
+        tokens = rng.randint(4, 6)
+        sets = [random_independent_set(g, tokens, rng) for _ in range(3)]
+        sets = [c for c in sets if c is not None]
+        if not sets:
+            continue
+        s = sets[0]
+        for k in sorted({1, 2, 3, diameter(g)}):
+            got = list(engine._search(g, k, 10**7, _mask(s))[1].seen.items())
+            _, want = naive_search(g, k, 10**7, _mask(s))
+            assert got == list(want.items())
+            compared += 1
+            states += len(got)
+            for t in sets[1:]:
+                moves = naive_shortest_moves(g, s, t, k)
+                seq = shortest(g, s, t, k)
+                if moves is None:
+                    assert seq is None
+                    unreachable += 1
+                else:
+                    assert tuple((m.src, m.dst) for m in seq.moves) == moves
+                    paths += 1
+    assert compared >= 400 and states >= 20000
+    assert paths >= 700 and unreachable >= 1
 
 
 def test_shortest_moves_match_naive_one_directional():

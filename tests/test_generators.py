@@ -19,7 +19,7 @@ from kjump.generators import (
     random_pair,
     random_split_graph,
 )
-from kjump.graph import graph_to_json, is_connected
+from kjump.graph import Graph, graph_to_json, is_connected
 
 from conftest import atlas_graphs, complete_graph, independent_sets
 
@@ -63,6 +63,45 @@ def test_skip_shuffles_matches_real_shuffles():
             real.shuffle(list(range(n)))
         _skip_shuffles(fast, n, 40)
         assert fast.getstate() == real.getstate(), n
+
+
+def test_skip_shuffles_widens_a_short_window():
+    # The first window of words is 25% above the mean the shuffles take
+    # plus 64 words, far more than any seed a test can search ever needs.
+    # So the first window read here has every word's top byte at 0xff, a
+    # rejection for every draw: the skip must widen the window and still
+    # advance the stream exactly as the real shuffles do.
+    class ShortWindow(random.Random):
+        calls = 0
+
+        def getrandbits(self, k):
+            bits = super().getrandbits(k)
+            self.calls += 1
+            if self.calls == 1:
+                bits |= int.from_bytes(b"\0\0\0\xff" * (k // 32), "little")
+            return bits
+
+    for n, tries in ((2, 1), (9, 5), (40, 3)):
+        real, fast = random.Random(n), ShortWindow(n)
+        verts = list(range(n))
+        for _ in range(tries):
+            real.shuffle(verts)
+        _skip_shuffles(fast, n, tries)
+        assert fast.calls == 3  # the short window, the wide one, the advance
+        assert fast.getstate() == real.getstate(), n
+
+
+def test_random_pair_gives_up_with_an_empty_pair():
+    # no graph without vertices has an independent set of size 1 or more
+    rng = random.Random(3)
+    assert random_pair(Graph(0, []), rng) == (frozenset(), frozenset())
+
+
+def test_split_graph_needs_a_vertex():
+    for n in (0, -1):
+        with pytest.raises(ValueError) as exc:
+            random_split_graph(n, random.Random(0))
+        assert str(exc.value) == "n must be positive"
 
 
 def test_hopeless_sizes_advance_the_stream_as_shuffles_would():

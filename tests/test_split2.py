@@ -63,7 +63,7 @@ def test_normalize_moves_clique_token(two_per_side):
 
 def test_normalize_signals_trivial_regime(two_per_side):
     g, dec = two_per_side
-    with pytest.raises(GraphError, match="trivial-yes"):
+    with pytest.raises(GraphError, match="not an independent set"):
         normalize_typical(g, dec, frozenset({0, 2, 3, 4, 5}))
 
 
@@ -277,6 +277,12 @@ def test_three_per_side_no(three_per_side):
     res = decide2(g, {2, 3, 5}, {2, 5, 6})
     assert not res.reconfigurable
     assert not engine.decide(g, {2, 3, 5}, {2, 5, 6}, 2)
+
+
+def test_decision_truth_is_its_answer(two_per_side, three_per_side):
+    yes = decide2(two_per_side[0], {2, 3}, {4, 5})
+    no = decide2(three_per_side[0], {2, 3, 5}, {2, 5, 6})
+    assert bool(yes) is True and bool(no) is False
 
 
 def test_decide2_reflexive(two_per_side):
