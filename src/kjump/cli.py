@@ -184,6 +184,8 @@ def _cmd_stats(args):
 
 
 def _cmd_gen(args):
+    if args.n <= 0:
+        raise ValueError(f"--n must be positive, got {args.n}")
     rng = random.Random(args.seed)
     # argparse's choices admit only the two kinds
     gen = random_connected_graph if args.kind == "connected" else random_split_graph

@@ -175,13 +175,13 @@ def _run(g, k, max_states, sides, budget=None):
     order. The tokens left behind form the move's hub y = cur - u, shared
     by every state y + v, v in A(y), the vertices outside y and N(y). Each
     side keeps, per hub, the completions still open: A(y) less the vertex u
-    of the state that stored it and the completions already handled. So a
-    state reads each of its hubs from the cache, and only a state with a
-    new hub runs the neighbourhood pass that gives A(y) - {u} = free |
-    adj[u] & alone. The open completions are still checked against `seen`,
-    and a hub is stored once some move leaves from it. Every
-    state the cache skips is a seen state, so discovery order, parents and
-    the meeting point are those of a search without the cache.
+    of the state that stored it and the completions already handled. A
+    hub is stored once some move leaves from it. So a state reads each of
+    its hubs from the cache, and only a state with a new hub runs the
+    neighbourhood pass that gives A(y) - {u} = free | adj[u] & alone. The
+    open completions are still checked against `seen`. Every state the
+    cache skips is a seen state, so discovery order, parents and the
+    meeting point are those of a search without the cache.
 
     Returns the first meet, (state, its discoverer on the side that found
     it), or None."""

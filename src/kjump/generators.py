@@ -34,9 +34,10 @@ def random_connected_graph(n, rng):
 
 def random_split_graph(n, rng, edge_p=0.5):
     """Random split graph: clique of size q, independent part of size n-q,
-    each bipartite edge present with probability edge_p."""
-    if n <= 0:
-        raise ValueError("n must be positive")
+    each bipartite edge present with probability edge_p. The graph on no
+    vertices is split; a negative n is an error."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     q = rng.randint(0, n)
     edges = [(u, v) for u in range(q) for v in range(u + 1, q)]
     for u in range(q):

@@ -296,11 +296,11 @@ def test_gen_is_seed_deterministic(capsys):
 @pytest.mark.parametrize("kind", ["split", "connected"])
 @pytest.mark.parametrize("n", ["-1", "0"])
 def test_gen_needs_a_vertex(capsys, kind, n):
-    # a split graph on no vertices is no instance, as a connected one is not
+    # a graph on no vertices is no instance to generate, split or not
     assert run(["gen", kind, "--n", n, "--seed", "1"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert json.loads(err) == {"error": "n must be positive"}
+    assert json.loads(err) == {"error": f"--n must be positive, got {n}"}
 
 
 def test_usage_and_input_errors(tmp_path, capsys):

@@ -66,11 +66,12 @@ def test_skip_shuffles_matches_real_shuffles():
 
 
 def test_skip_shuffles_widens_a_short_window():
-    # The first window of words is 25% above the mean the shuffles take
-    # plus 64 words, far more than any seed a test can search ever needs.
-    # So the first window read here has every word's top byte at 0xff, a
-    # rejection for every draw: the skip must widen the window and still
-    # advance the stream exactly as the real shuffles do.
+    # The first window of words is 25% above the mean the shuffles take,
+    # plus 64 words, and a draw rejects a word with probability at most
+    # 1/2: no seed a test could search needs a second window. So the first
+    # window read here has every word's top byte at 0xff, a rejection for
+    # every draw: the skip must widen the window and still advance the
+    # stream exactly as the real shuffles do.
     class ShortWindow(random.Random):
         calls = 0
 
@@ -97,11 +98,13 @@ def test_random_pair_gives_up_with_an_empty_pair():
     assert random_pair(Graph(0, []), rng) == (frozenset(), frozenset())
 
 
-def test_split_graph_needs_a_vertex():
-    for n in (0, -1):
-        with pytest.raises(ValueError) as exc:
-            random_split_graph(n, random.Random(0))
-        assert str(exc.value) == "n must be positive"
+def test_split_graph_rejects_a_negative_n():
+    # the graph on no vertices is split: the degree-partition corpus of
+    # tests/test_graph.py draws it
+    assert random_split_graph(0, random.Random(0)).n == 0
+    with pytest.raises(ValueError) as exc:
+        random_split_graph(-1, random.Random(0))
+    assert str(exc.value) == "n must be nonnegative"
 
 
 def test_hopeless_sizes_advance_the_stream_as_shuffles_would():
