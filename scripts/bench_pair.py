@@ -7,10 +7,15 @@ Each side is a clean local clone of the repository at its commit (CHANGE
 defaults to HEAD), so uncommitted edits never enter a run. For every
 workload and seed the two sides run `perfbench/run.py --workload W --seed S
 --seconds T --trace 0` one after the other, each in its own process; which
-side goes first alternates from pair to pair. Every run's report and result
-lines are kept, and per metric the file gives each side's median and
-quartiles, how many pairs the change won (ties count for neither) and the
-runs themselves, with whether every pair's fingerprints matched. Each side
+side goes first alternates from pair to pair. A seed may be given more than
+once, for more pairs than seeds; its later runs are keyed `seed_S_2`,
+`seed_S_3` and so on. Every run's report and result lines are kept, with its
+pass count (the timed passes the fixed run length allowed), and per metric
+the file gives each side's median and quartiles, how many pairs the change
+won (ties count for neither) and the runs themselves, with whether every
+pair's fingerprints matched and each side's median pass count. A faster
+side makes more passes, and perfbench keeps every pass's op times, so a
+`peak_rss_mb` change is read against the ratio of pass counts. Each side
 also records `src_lines`, the lines of src/**/*.py at its commit, so the
 file carries the net source-line change.
 """
@@ -54,7 +59,8 @@ def src_lines(checkout):
 
 
 def run_once(checkout, workload, seed, seconds):
-    """The report and result lines of one benchmark run in checkout."""
+    """The report and result lines of one benchmark run in checkout, and
+    its pass count."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -64,7 +70,12 @@ def run_once(checkout, workload, seed, seconds):
     if proc.returncode != 0 or len(lines) < 2:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"{workload} seed {seed} in {checkout} exited {proc.returncode}")
-    return {"report": json.loads(lines[-2])["report"], "result": json.loads(lines[-1])}
+    report = json.loads(lines[-2])["report"]
+    return {
+        "report": report,
+        "result": json.loads(lines[-1]),
+        "passes": len(report["pass_factors"]),
+    }
 
 
 def _summary(values):
@@ -72,13 +83,23 @@ def _summary(values):
     return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
 
 
-def compare(runs, seeds, better):
-    """Per-metric medians, quartiles, wins and runs of one workload; better
-    maps a metric name to "higher" or "lower"."""
+def run_keys(seeds):
+    """The key of each pair's runs: seed_S, then seed_S_2, seed_S_3, ...
+    for a seed given again."""
+    count, keys = {}, []
+    for s in seeds:
+        count[s] = count.get(s, 0) + 1
+        keys.append(f"seed_{s}" if count[s] == 1 else f"seed_{s}_{count[s]}")
+    return keys
+
+
+def compare(runs, keys, better):
+    """Per-metric medians, quartiles, wins and runs of one workload, over
+    the runs under keys; better maps a metric name to "higher" or "lower"."""
     metrics = {}
     for name, direction in better.items():
         vals = {
-            side: [runs[side][f"seed_{s}"]["result"]["metrics"][name]["value"] for s in seeds]
+            side: [runs[side][k]["result"]["metrics"][name]["value"] for k in keys]
             for side in SIDES
         }
         sign = 1 if direction == "higher" else -1
@@ -86,7 +107,7 @@ def compare(runs, seeds, better):
         metrics[name] = {
             "better": direction,
             **{side: _summary(vals[side]) for side in SIDES},
-            "change_wins": f"{wins}/{len(seeds)}",
+            "change_wins": f"{wins}/{len(keys)}",
             "runs": {side: [round(v, 6) for v in vals[side]] for side in SIDES},
         }
     return metrics
@@ -134,14 +155,15 @@ def main(argv=None):
         what = _git(ROOT, "log", "-1", "--format=%s", commits["change"])
         runs = {side: {w: {} for w in args.workloads} for side in SIDES}
         pairs = {}
+        keys = run_keys(args.seeds)
         for w in args.workloads:
             first = []
-            for i, seed in enumerate(args.seeds):
+            for i, (seed, key) in enumerate(zip(args.seeds, keys)):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 first.append(order[0])
                 for side in order:
-                    print(f"{w} seed {seed}: {side}", file=sys.stderr, flush=True)
-                    runs[side][w][f"seed_{seed}"] = run_once(dirs[side], w, seed, args.seconds)
+                    print(f"{w} {key}: {side}", file=sys.stderr, flush=True)
+                    runs[side][w][key] = run_once(dirs[side], w, seed, args.seconds)
             by_side = {side: runs[side][w] for side in SIDES}
             pairs[w] = {
                 "seeds": args.seeds,
@@ -155,7 +177,11 @@ def main(argv=None):
                     == by_side["change"][k]["report"]["fingerprint"]
                     for k in by_side["parent"]
                 ),
-                "metrics": compare(by_side, args.seeds, better),
+                "passes": {
+                    side: statistics.median(r["passes"] for r in by_side[side].values())
+                    for side in SIDES
+                },
+                "metrics": compare(by_side, keys, better),
             }
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
@@ -179,7 +205,10 @@ def main(argv=None):
         fh.write("\n")
     print(f"src lines: parent {lines['parent']}, change {lines['change']}")
     for w, pair in pairs.items():
-        print(f"{w}: failed {pair['failed']}, fingerprints_equal {pair['fingerprints_equal']}")
+        print(
+            f"{w}: failed {pair['failed']}, fingerprints_equal"
+            f" {pair['fingerprints_equal']}, median passes {pair['passes']}"
+        )
         for name, m in pair["metrics"].items():
             print(
                 f"  {name:<16} parent {m['parent']['median']:>12.6g}"

@@ -284,15 +284,21 @@ class SplitDecomposition:
 def _degree_partition(g):
     """Hammer-Simeone degree test: (clique, indep), or None when g is not
     split. With e(.) counting edges, lhs = 2e(K) + e(K, I) and rhs = h(h - 1)
-    + 2e(I) + e(K, I), so lhs = rhs forces K to be a clique and I edgeless."""
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    degs = [g.degree(v) for v in order]
-    h = 0
-    for i in range(1, g.n + 1):
-        if degs[i - 1] >= i - 1:
-            h = i
-    lhs = sum(degs[:h])
-    rhs = h * (h - 1) + sum(degs[h:])
+    + 2e(I) + e(K, I), so lhs = rhs forces K to be a clique and I edgeless.
+
+    The vertices go by descending degree, ties by ascending id (a stable
+    sort), and h is the number of leading vertices whose degree is at least
+    their position: along that order the degree never rises and the position
+    does, so the first vertex that fails ends the run."""
+    degs = [m.bit_count() for m in g.adj_mask]
+    order = sorted(range(g.n), key=degs.__getitem__, reverse=True)
+    h = lhs = 0
+    for v in order:
+        if degs[v] < h:
+            break
+        lhs += degs[v]
+        h += 1
+    rhs = h * (h - 1) + 2 * g.m - lhs
     if lhs != rhs:
         return None
     return set(order[:h]), set(order[h:])
@@ -405,14 +411,17 @@ def recognize_split(g):
         ipart.add(y)
         imask |= 1 << y
     kmask = ((1 << g.n) - 1) & ~imask
-    bip = [adj[v] & (kmask if imask >> v & 1 else imask) for v in range(g.n)]
+    bip = [a & kmask for a in adj]
+    for v in kpart:
+        bip[v] = adj[v] & imask
     unseen = (1 << g.n) - 1
     clusters = []
     while unseen:
         comp = _reach(bip, unseen & -unseen)
         unseen &= ~comp
         u_side, v_side = frozenset(_bits(comp & imask)), _bits(comp & kmask)
-        vmin = min(v_side, key=lambda x: (bip[x].bit_count(), x), default=None)
+        # v_side ascends, so min breaks a tie by the lowest id
+        vmin = min(v_side, key=lambda x: bip[x].bit_count(), default=None)
         nbhd = frozenset(_bits(bip[vmin])) if v_side else frozenset()
         clusters.append(Cluster(u_side, frozenset(v_side), vmin, nbhd))
     clusters.sort(key=lambda c: len(c.nbhd))
@@ -458,24 +467,31 @@ def lex_bfs(g):
 def verify_peo(g, order):
     """True iff every vertex is simplicial in the subgraph of its suffix.
 
-    Walks the order with the mask `rest` of vertices not yet eliminated; the
-    later neighbours later = N(v) & rest must form a clique, that is
-    later & ~(N(w) | {w}) == 0 for each w in later. Cost: O(m) big-int ops,
-    one per edge.
+    The parent test of Rose, Tarjan & Lueker (1976): call the first later
+    neighbour p of v in the order its parent; the order is a perfect
+    elimination ordering iff every v's other later neighbours are
+    neighbours of p. Walking the order with the mask `rest` of vertices not
+    yet eliminated, the children of w are its earlier neighbours that no
+    vertex before w has claimed (`waiting`), and a child v's later
+    neighbours other than w are adj[v] & rest once w is out, since no
+    vertex between v and w is a neighbour of v. Cost: O(n) big-int ops, one
+    test per vertex.
     """
     if sorted(order) != list(range(g.n)):
         raise GraphError("ordering is not a permutation of the vertices")
     adj = g.adj_mask
     rest = (1 << g.n) - 1
-    for v in order:
-        rest ^= 1 << v
-        later = adj[v] & rest
-        ws = later
-        while ws:
-            low = ws & -ws
-            if later & ~(adj[low.bit_length() - 1] | low):
+    waiting = 0
+    for w in order:
+        rest ^= 1 << w
+        children = adj[w] & waiting
+        waiting ^= children | 1 << w
+        outside = rest & ~adj[w]
+        while children:
+            low = children & -children
+            if adj[low.bit_length() - 1] & outside:
                 return False
-            ws ^= low
+            children ^= low
     return True
 
 

@@ -111,6 +111,10 @@ def decide2(g, s, t, dec=None):
     if len(s) != len(t):
         raise GraphError(f"size mismatch: |s| = {len(s)}, |t| = {len(t)}")
     trace = []
+    if dec is None:
+        # NotSplitError on non-split input, before an isolated-vertex rule
+        # can answer for it
+        dec = recognize_split(g)
 
     # Isolated vertices can neither emit nor receive tokens at any k. Each
     # one is a cluster with an empty clique side; drop those clusters.
@@ -124,10 +128,6 @@ def decide2(g, s, t, dec=None):
         if len(iso) == g.n:
             trace.append("empty core: trivially reconfigurable")
             return Decision(True, trace)
-
-    if dec is None:
-        dec = recognize_split(g)  # raises NotSplitError on non-split input
-    if iso:
         clusters = tuple(c for c in dec.clusters if c.v_side)
         dec = replace(dec, indep_part=dec.indep_part - iso, clusters=clusters)
 

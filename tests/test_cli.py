@@ -192,13 +192,17 @@ def test_decide2_regressions(tmp_path, capsys):
 
 
 def test_decide2_non_split_names_obstruction_in_input_ids(tmp_path, capsys):
-    # C4 on 1-2-3-4 with vertex 0 isolated
+    # C4 on 1-2-3-4 with vertex 0 isolated; a token on vertex 0 gets the
+    # same error, not an isolated-vertex answer with exit 0
     g = build_graph(5, [(1, 2), (2, 3), (3, 4), (1, 4)])
-    code = run(["decide2", instance_file(tmp_path, g, {1}, {2}, 2)])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    err = json.loads(captured.err)["error"]
-    match = re.fullmatch(r"not a split graph: induced (\w+) on \(([\d, ]+)\)", err)
+    errors = []
+    for s, t in (({1}, {2}), ({0}, {1}), ({2}, {1})):
+        code = run(["decide2", instance_file(tmp_path, g, s, t, 2)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        errors.append(json.loads(captured.err)["error"])
+    assert len(set(errors)) == 1
+    match = re.fullmatch(r"not a split graph: induced (\w+) on \(([\d, ]+)\)", errors[0])
     kind, verts = match[1], [int(v) for v in match[2].split(",")]
     induced = [(a, b) for a, b in itertools.combinations(sorted(verts), 2) if g.has_edge(a, b)]
     assert (kind, len(set(verts)), len(induced)) == ("C4", 4, 4)

@@ -76,7 +76,7 @@ def test_bench_pair_writes_bench_schema(tmp_path):
     out = tmp_path / "BENCH.json"
     proc = subprocess.run(
         [sys.executable, str(repo / "scripts" / "bench_pair.py"), "HEAD",
-         "--workloads", "split-stream", "--seeds", "1", "2", "--seconds", "1",
+         "--workloads", "split-stream", "--seeds", "1", "2", "1", "--seconds", "1",
          "--out", str(out)],
         capture_output=True, text=True, timeout=300,
     )
@@ -86,20 +86,28 @@ def test_bench_pair_writes_bench_schema(tmp_path):
     assert doc["what"] == "bench base"
     assert doc["parent"]["commit"] == doc["change"]["commit"]
     assert doc["parent"]["src_lines"] == doc["change"]["src_lines"] > 0
+    # seed 1 given twice: its second pair is keyed seed_1_2
+    passes = {}
     for side in ("parent", "change"):
         runs = doc[side]["runs"]["split-stream"]
-        assert sorted(runs) == ["seed_1", "seed_2"]
-        for run in runs.values():
+        assert list(runs) == ["seed_1", "seed_2", "seed_1_2"]
+        for key, run in runs.items():
             assert run["report"]["environment"]["git_sha"] == doc[side]["commit"]
+            assert run["report"]["environment"]["seed"] == int(key.split("_")[1])
             assert run["result"]["correct"] is True
+            assert run["passes"] == len(run["report"]["pass_factors"]) >= 1
+        passes[side] = sorted(run["passes"] for run in runs.values())[1]
     pair = doc["pairs"]["workloads"]["split-stream"]
-    assert pair["seeds"] == [1, 2] and pair["first"] == ["parent", "change"]
+    assert pair["seeds"] == [1, 2, 1]
+    assert pair["first"] == ["parent", "change", "parent"]
     assert pair["failed"] == {"parent": 0, "change": 0}
     assert pair["fingerprints_equal"] is True
+    assert pair["passes"] == passes
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         names = [m["name"] for m in json.load(fh)["end_to_end"]]
+    assert list(pair) == ["seeds", "first", "failed", "fingerprints_equal", "passes", "metrics"]
     assert list(pair["metrics"]) == names
     for m in pair["metrics"].values():
         assert set(m) == {"better", "parent", "change", "change_wins", "runs"}
         assert set(m["parent"]) == {"median", "q1", "q3"}
-        assert len(m["runs"]["change"]) == 2 and m["change_wins"].endswith("/2")
+        assert len(m["runs"]["change"]) == 3 and m["change_wins"].endswith("/3")

@@ -376,16 +376,19 @@ def test_decide2_classifies_each_distribution_once(monkeypatch):
 
 
 def test_decide2_obstruction_names_vertices_of_g():
-    # C4 on 1-2-3-4 with vertex 0 isolated: the witness is in g's numbering
+    # C4 on 1-2-3-4 with vertex 0 isolated: the witness is in g's numbering.
+    # A token on the isolated vertex gets the same refusal, not an answer
+    # from the isolated-vertex rules.
     g = build_graph(5, [(1, 2), (2, 3), (3, 4), (1, 4)])
-    with pytest.raises(NotSplitError) as ei:
-        decide2(g, {1}, {2})
-    kind, verts = ei.value.witness
-    induced = [
-        (a, b) for a, b in itertools.combinations(sorted(verts), 2) if g.has_edge(a, b)
-    ]
-    assert (kind, len(set(verts)), len(induced)) == ("C4", 4, 4)
-    assert f"induced C4 on {tuple(verts)}" in str(ei.value)
+    for s, t in (({1}, {2}), ({0}, {1}), ({0}, {0})):
+        with pytest.raises(NotSplitError) as ei:
+            decide2(g, s, t)
+        kind, verts = ei.value.witness
+        induced = [
+            (a, b) for a, b in itertools.combinations(sorted(verts), 2) if g.has_edge(a, b)
+        ]
+        assert (kind, len(set(verts)), len(induced)) == ("C4", 4, 4)
+        assert f"induced C4 on {tuple(verts)}" in str(ei.value)
 
 
 def test_decide2_symmetry():
