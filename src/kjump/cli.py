@@ -2,7 +2,7 @@
 and writes one deterministic JSON document to stdout.
 
 Exit codes: 0 = computed (including "no" answers), 2 = input or usage error,
-3 = resource cap hit.
+3 = resource cap hit or out of memory.
 """
 
 from __future__ import annotations
@@ -19,12 +19,8 @@ from .graph import (
     GraphError,
     NotSplitError,
     find_peo,
-    graph_from_json,
     graph_to_json,
     is_connected,
-    json_int,
-    json_ints,
-    json_object,
     parse_graph,
     parse_json,
     recognize_split,
@@ -36,17 +32,6 @@ def _read(path):
         return sys.stdin.read()
     with open(path) as fh:
         return fh.read()
-
-
-def _load_instance(path):
-    keys = ("graph", "start", "target", "k")
-    data = json_object(parse_json(_read(path)), "instance", keys)
-    return (
-        graph_from_json(data["graph"]),
-        frozenset(json_ints(data["start"], "start")),
-        frozenset(json_ints(data["target"], "target")),
-        json_int(data["k"], "k"),
-    )
 
 
 def _emit(payload):
@@ -72,11 +57,8 @@ def _cmd_recognize(args):
         ]
     except NotSplitError as exc:
         report["split"] = False
-        report["obstruction"] = (
-            {"kind": exc.witness[0], "vertices": list(exc.witness[1])}
-            if exc.witness
-            else None
-        )
+        kind, vertices = exc.witness
+        report["obstruction"] = {"kind": kind, "vertices": list(vertices)}
     peo = find_peo(g)
     report["chordal"] = peo is not None
     if peo is not None:
@@ -86,7 +68,7 @@ def _cmd_recognize(args):
 
 
 def _cmd_decide(args):
-    g, s, t, k = _load_instance(args.instance)
+    g, s, t, k = engine.instance_from_json(parse_json(_read(args.instance)))
     if args.k is not None:
         k = args.k
     _emit({"k": k, "reconfigurable": engine.decide(g, s, t, k)})
@@ -94,7 +76,7 @@ def _cmd_decide(args):
 
 
 def _cmd_shortest(args):
-    g, s, t, k = _load_instance(args.instance)
+    g, s, t, k = engine.instance_from_json(parse_json(_read(args.instance)))
     seq = engine.shortest(g, s, t, k)
     if seq is None:
         _emit({"k": k, "reconfigurable": False, "sequence": "unreachable"})
@@ -111,7 +93,7 @@ def _cmd_shortest(args):
 
 
 def _cmd_decide2(args):
-    g, s, t, k = _load_instance(args.instance)
+    g, s, t, k = engine.instance_from_json(parse_json(_read(args.instance)))
     if k != 2:
         raise GraphError(f"decide2 requires k = 2, instance has k = {k}")
     res = split2.decide2(g, s, t)
@@ -154,7 +136,7 @@ def _cmd_extract(args):
 
 
 def _cmd_verify(args):
-    g, s, t, k = _load_instance(args.instance)
+    g, s, t, k = engine.instance_from_json(parse_json(_read(args.instance)))
     seq = engine.sequence_from_json(parse_json(_read(args.sequence)))
     report = engine.validate_sequence(g, seq, k)
     out = {"valid": report.ok}
@@ -281,8 +263,9 @@ def run(argv=None):
         return 2 if exc.code else 0
     try:
         return args.fn(args)
-    except engine.ResourceExhausted as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+    except (engine.ResourceExhausted, MemoryError) as exc:
+        # a MemoryError may carry no message
+        print(json.dumps({"error": str(exc) or "out of memory"}), file=sys.stderr)
         return 3
     except (GraphError, reduction.CnfError, ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

@@ -19,6 +19,7 @@ from .graph import (
     _to_mask,
     ball_levels,
     dist,
+    graph_from_json,
     is_independent,
     json_int,
     json_ints,
@@ -290,18 +291,21 @@ def reachable_configs(g, c, k, max_states=DEFAULT_STATE_CAP):
 
 
 def _check_pair(g, s, t, k):
+    """s and t as frozensets, checked as the start and target of a query at
+    k: independent sets of one size. frozenset() of a frozenset is the same
+    object, so a caller's frozensets are not copied."""
     _check_k(k)
+    s, t = frozenset(s), frozenset(t)
     _check_config(g, s, "start")
     _check_config(g, t, "target")
-    if len(set(s)) != len(set(t)):
-        raise GraphError(
-            f"size mismatch: |start| = {len(set(s))}, |target| = {len(set(t))}"
-        )
+    if len(s) != len(t):
+        raise GraphError(f"size mismatch: |start| = {len(s)}, |target| = {len(t)}")
+    return s, t
 
 
 def decide(g, s, t, k, max_states=DEFAULT_STATE_CAP):
     """Reachability of t from s in the k-Jump transition graph."""
-    _check_pair(g, s, t, k)
+    s, t = _check_pair(g, s, t, k)
     meet, _, _ = _search(g, k, max_states, _to_mask(s), _to_mask(t))
     return meet is not None
 
@@ -313,8 +317,7 @@ def shortest(g, s, t, k, max_states=DEFAULT_STATE_CAP):
     tried in ascending (src, dst) order and each state keeps the parent that
     discovered it first. `decide`'s search gives its forward half, and one
     level of the loop per backward level the rest: see _cone_path."""
-    _check_pair(g, s, t, k)
-    s = frozenset(s)
+    s, t = _check_pair(g, s, t, k)
     meet, fwd, bwd = _search(g, k, max_states, _to_mask(s), _to_mask(t))
     if meet is None:
         return None
@@ -365,7 +368,7 @@ def _cone_path(g, k, meet, fwd, bwd):
 
 def exists_within(g, s, t, k, budget, max_states=DEFAULT_STATE_CAP):
     """True iff a valid sequence of at most `budget` moves exists."""
-    _check_pair(g, s, t, k)
+    s, t = _check_pair(g, s, t, k)
     if budget < 0:
         raise GraphError("move budget must be nonnegative")
     meet, _, _ = _search(g, k, max_states, _to_mask(s), _to_mask(t), budget=budget)
@@ -430,8 +433,8 @@ def diameter_and_bound(g, s, t, k):
     Entry (i, j) of the cost table is ceil(d / k) for the first level d
     whose ball of the i-th start vertex holds the j-th target vertex (both
     ascending), and _UNREACHABLE when no level's does."""
-    _check_pair(g, s, t, k)
-    starts, tvs = sorted(set(s)), sorted(set(t))
+    s, t = _check_pair(g, s, t, k)
+    starts, tvs = sorted(s), sorted(t)
     col = {v: j for j, v in enumerate(tvs)}
     left = [_to_mask(tvs)] * len(starts)  # the targets row i has not met
     # int32 rows, half the size of lists of ints: every cost is at most n or
@@ -529,6 +532,18 @@ def sequence_to_json(seq):
         "moves": [[m.src, m.dst] for m in seq.moves],
         "k": seq.k,
     }
+
+
+def instance_from_json(data, what="instance", extra=()):
+    """(graph, start, target, k) of the JSON object data, the document
+    `what`, which must hold those keys and the keys in extra."""
+    json_object(data, what, ("graph", "start", "target", "k", *extra))
+    return (
+        graph_from_json(data["graph"]),
+        frozenset(json_ints(data["start"], "start")),
+        frozenset(json_ints(data["target"], "target")),
+        json_int(data["k"], "k"),
+    )
 
 
 def sequence_from_json(data):

@@ -258,27 +258,23 @@ def is_independent(g, s):
 class Cluster:
     """One connected component of the bipartite part of a split graph.
 
-    u_side lies in the independent part, v_side in the clique part. nbhd is
-    the neighborhood (within the cluster) of vmin, a minimum-degree vertex of
-    v_side. u_side is never empty; vmin is None (and v_side, nbhd empty) only
-    for the cluster of an isolated vertex.
+    u_side lies in the independent part, v_side in the clique part. n_size
+    is the size of the neighborhood (within the cluster) of vmin, a
+    minimum-degree vertex of v_side. u_side is never empty; vmin is None (v_side
+    empty and n_size 0) only for the cluster of an isolated vertex.
     """
 
     u_side: frozenset
     v_side: frozenset
     vmin: int | None
-    nbhd: frozenset
-
-    @property
-    def n_size(self):
-        return len(self.nbhd)
+    n_size: int
 
 
 @dataclass(frozen=True)
 class SplitDecomposition:
     clique_part: frozenset
     indep_part: frozenset
-    clusters: tuple  # Cluster, ascending by |nbhd| then discovery order
+    clusters: tuple  # Cluster, ascending by n_size then discovery order
 
 
 def _degree_partition(g):
@@ -395,12 +391,13 @@ def recognize_split(g):
     holds at most one clique vertex, and then misses its independent
     neighbour. Clusters are the components of bip[v] = adj[v] & (the other
     part), by a mask BFS from the lowest unvisited vertex, stably sorted by
-    |nbhd|.
+    n_size.
     """
     part = _degree_partition(g)
     if part is None:
-        obs = _find_obstruction(g)
-        kind, vs = obs if obs else ("unknown", ())
+        # every non-split graph has an induced 2K2, C4 or C5 (Foldes & Hammer
+        # 1977), and _find_obstruction searches for all three
+        kind, vs = obs = _find_obstruction(g)
         raise NotSplitError(f"not a split graph: induced {kind} on {vs}", obs)
     kpart, ipart = part
     adj, imask = g.adj_mask, _to_mask(ipart)
@@ -422,9 +419,9 @@ def recognize_split(g):
         u_side, v_side = frozenset(_bits(comp & imask)), _bits(comp & kmask)
         # v_side ascends, so min breaks a tie by the lowest id
         vmin = min(v_side, key=lambda x: bip[x].bit_count(), default=None)
-        nbhd = frozenset(_bits(bip[vmin])) if v_side else frozenset()
-        clusters.append(Cluster(u_side, frozenset(v_side), vmin, nbhd))
-    clusters.sort(key=lambda c: len(c.nbhd))
+        n_size = bip[vmin].bit_count() if v_side else 0
+        clusters.append(Cluster(u_side, frozenset(v_side), vmin, n_size))
+    clusters.sort(key=lambda c: c.n_size)
     return SplitDecomposition(frozenset(kpart), frozenset(ipart), tuple(clusters))
 
 
@@ -525,6 +522,15 @@ def parse_json(text):
         raise GraphError("JSON input is nested too deeply") from None
 
 
+def parse_int(field):
+    """The integer that the text field spells, or None unless it is ASCII
+    digits after an optional sign: int() alone would also take '1_0',
+    spaces and non-ASCII digits. The rule of every DIMACS integer field."""
+    if field.isascii() and (field.isdigit() or field[:1] in "+-" and field[1:].isdigit()):
+        return int(field)
+    return None
+
+
 def json_object(data, what, keys=()):
     """data, which must be a JSON object holding every key in keys;
     GraphError, naming the document and the key, otherwise."""
@@ -583,44 +589,50 @@ def graph_from_json(data):
     return Graph(json_int(data["n"], "vertex count"), edges, labels)
 
 
+def dimacs_header(parts, formats, seen, lineno, line, error=GraphError):
+    """The two counts of the DIMACS header `line`, split into parts, which
+    must read 'p <format> a b' with format in formats and a, b nonnegative
+    integers. Raises `error` naming the line for a malformed header, or for
+    any header when one was `seen` before."""
+    if seen:
+        raise error(f"second header at line {lineno}: {line!r}")
+    counts = [parse_int(f) for f in parts[2:]]
+    if len(parts) != 4 or parts[1] not in formats or None in counts or min(counts) < 0:
+        raise error(f"malformed header at line {lineno}: {line!r}")
+    return counts
+
+
 def parse_edgelist(text):
     """DIMACS-like edge list: 'p edge n m' header, then m 'e u v' lines,
     1-indexed. Errors name the line and the file's own ids."""
     n = None
     edges = []
-    seen = set()  # edges as (low, high)
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("c"):
             continue
         parts = line.split()
         if parts[0] == "p":
-            if n is not None:
-                raise GraphError(f"second header at line {lineno}: {line!r}")
-            if (
-                len(parts) != 4
-                or parts[1] not in ("edge", "edges")
-                or not all(_is_int(f) and int(f) >= 0 for f in parts[2:])
-            ):
-                raise GraphError(f"malformed header at line {lineno}: {line!r}")
-            n, m = int(parts[2]), int(parts[3])
+            n, m = dimacs_header(parts, ("edge", "edges"), n is not None, lineno, line)
+            masks = [0] * (n + 1)  # bit v of masks[u] for each edge uv read
         elif parts[0] == "e":
             if n is None:
                 raise GraphError(
                     f"edge line before 'p edge' header at line {lineno}: {line!r}"
                 )
-            if len(parts) != 3 or not (_is_int(parts[1]) and _is_int(parts[2])):
+            ends = [parse_int(f) for f in parts[1:]]
+            if len(ends) != 2 or None in ends:
                 raise GraphError(f"malformed edge at line {lineno}: {line!r}")
-            u, v = int(parts[1]), int(parts[2])
+            u, v = ends
             if not (1 <= u <= n and 1 <= v <= n):
                 raise GraphError(
                     f"edge endpoint out of range 1..{n} at line {lineno}: {line!r}"
                 )
-            key = (min(u, v), max(u, v))
-            if u == v or key in seen:
+            if u == v or masks[u] >> v & 1:
                 what = "self-loop" if u == v else "duplicate edge"
                 raise GraphError(f"{what} at line {lineno}: {line!r}")
-            seen.add(key)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
             edges.append((u - 1, v - 1))
         else:
             raise GraphError(f"unrecognized line {lineno}: {line!r}")
@@ -629,15 +641,6 @@ def parse_edgelist(text):
     if len(edges) != m:
         raise GraphError(f"header promises {m} edges, found {len(edges)}")
     return Graph(n, edges)
-
-
-def _is_int(field):
-    """int(field) succeeds."""
-    try:
-        int(field)
-    except ValueError:
-        return False
-    return True
 
 
 def parse_graph(text, fmt="json"):

@@ -20,14 +20,14 @@ from . import engine
 from .graph import (
     Graph,
     GraphError,
-    _is_int,
     _to_mask,
-    graph_from_json,
+    dimacs_header,
     json_int,
     json_ints,
     json_list,
     json_object,
     json_vertex,
+    parse_int,
     verify_peo,
 )
 from .engine import Move, MoveSequence
@@ -62,7 +62,6 @@ class CnfFormula:
 def parse_e3cnf(text):
     """DIMACS CNF parser that enforces exactly three literals per clause."""
     num_vars = None
-    num_clauses = None
     clauses = []
     pending = []
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -71,22 +70,18 @@ def parse_e3cnf(text):
             continue
         parts = line.split()
         if parts[0] == "p":
-            if num_vars is not None:
-                raise CnfError(f"second header at line {lineno}: {line!r}")
-            if len(parts) != 4 or parts[1] != "cnf" or not all(
-                _is_int(f) and int(f) >= 0 for f in parts[2:]
-            ):
-                raise CnfError(f"malformed header at line {lineno}: {line!r}")
-            num_vars, num_clauses = int(parts[2]), int(parts[3])
+            num_vars, num_clauses = dimacs_header(
+                parts, ("cnf",), num_vars is not None, lineno, line, CnfError
+            )
             continue
         if num_vars is None:
             raise CnfError(
                 f"clause before 'p cnf' header at line {lineno}: {line!r}"
             )
-        if not all(map(_is_int, parts)):
+        lits = [parse_int(f) for f in parts]
+        if None in lits:
             raise CnfError(f"malformed literal at line {lineno}: {line!r}")
-        for tok in parts:
-            lit = int(tok)
+        for lit in lits:
             if not pending:
                 first = lineno  # the line the clause starts on
             if lit == 0:
@@ -108,7 +103,7 @@ def parse_e3cnf(text):
         raise CnfError(f"unterminated clause {_words(pending)} at line {first}")
     if num_vars is None:
         raise CnfError("missing 'p cnf' header")
-    if num_clauses is not None and len(clauses) != num_clauses:
+    if len(clauses) != num_clauses:
         raise CnfError(
             f"header promises {num_clauses} clauses, found {len(clauses)}"
         )
@@ -338,8 +333,9 @@ def instance_to_json(inst):
 
 
 def instance_from_json(data):
-    keys = ("graph", "start", "target", "k", "labelMap", "formula")
-    json_object(data, "reduction instance", keys)
+    g, start, target, k = engine.instance_from_json(
+        data, "reduction instance", ("labelMap", "formula")
+    )
     formula = json_object(data["formula"], "formula", ("numVars", "clauses"))
     num_vars = json_int(formula["numVars"], "numVars")
     clauses = []
@@ -354,10 +350,5 @@ def instance_from_json(data):
             raise GraphError(f"label of vertex {v} must be a string, got {lab!r}")
         labels[json_vertex(v, "labelMap")] = lab
     return ReductionInstance(
-        graph_from_json(data["graph"]),
-        json_int(data["k"], "k"),
-        frozenset(json_ints(data["start"], "start")),
-        frozenset(json_ints(data["target"], "target")),
-        labels,
-        CnfFormula(num_vars, tuple(clauses)),
+        g, k, start, target, labels, CnfFormula(num_vars, tuple(clauses))
     )

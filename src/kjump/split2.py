@@ -14,7 +14,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 
-from .graph import GraphError, is_independent, recognize_split
+from .engine import _check_pair
+from .graph import GraphError, recognize_split
 
 
 class ClusterKind(enum.Enum):
@@ -105,11 +106,7 @@ def decide2(g, s, t, dec=None):
     """2-Jump reconfigurability decision for split graphs, with a trace of
     the rule applied at each step. A precomputed `recognize_split(g)` may be
     passed as dec to amortize recognition over many queries."""
-    s, t = frozenset(s), frozenset(t)
-    if not is_independent(g, s) or not is_independent(g, t):
-        raise GraphError("start and target must be independent sets")
-    if len(s) != len(t):
-        raise GraphError(f"size mismatch: |s| = {len(s)}, |t| = {len(t)}")
+    s, t = _check_pair(g, s, t, 2)
     trace = []
     if dec is None:
         # NotSplitError on non-split input, before an isolated-vertex rule

@@ -390,7 +390,7 @@ def naive_find_c5(g):
 def naive_decompose(g, kpart, ipart):
     """Clusters of a split partition by a DFS over neighbour lists: the
     list-based decomposition that the mask BFS of `recognize_split`
-    replaced, kept verbatim as its reference."""
+    replaced, kept as its reference."""
     from kjump.graph import Cluster, SplitDecomposition, _bits, _to_mask
 
     adj, imask = g.adj_mask, _to_mask(ipart)
@@ -419,15 +419,13 @@ def naive_decompose(g, kpart, ipart):
         v_side = frozenset(x for x in members if x in kpart)
         if v_side:
             vmin = min(v_side, key=lambda x: (len(bip_adj[x]), x))
-            nbhd = frozenset(bip_adj[vmin])
+            n_size = len(bip_adj[vmin])
         else:
-            vmin, nbhd = None, frozenset()
-        clusters.append(Cluster(u_side, v_side, vmin, nbhd))
+            vmin, n_size = None, 0
+        clusters.append(Cluster(u_side, v_side, vmin, n_size))
     if pseudo:
-        clusters.append(
-            Cluster(frozenset(), frozenset(pseudo), min(pseudo), frozenset())
-        )
-    order = sorted(range(len(clusters)), key=lambda i: (len(clusters[i].nbhd), i))
+        clusters.append(Cluster(frozenset(), frozenset(pseudo), min(pseudo), 0))
+    order = sorted(range(len(clusters)), key=lambda i: (clusters[i].n_size, i))
     return SplitDecomposition(kpart, ipart, tuple(clusters[i] for i in order))
 
 

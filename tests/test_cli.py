@@ -64,13 +64,14 @@ def test_recognize_non_split_reports_obstruction(tmp_path, capsys):
 
 
 def test_recognize_edgelist_format(tmp_path, capsys):
-    code, out = run_json(
-        capsys,
-        ["recognize", write(tmp_path, "g.col", "p edge 3 2\ne 1 2\ne 2 3\n"),
-         "--format", "edgelist"],
-    )
-    assert code == 0
-    assert out["n"] == 3 and out["split"] is True
+    # a sign before the digits is part of the integer rule, as in MiniSat
+    for text in ("p edge 3 2\ne 1 2\ne 2 3\n", "p edge +3 2\ne 1 +2\ne 2 3\n"):
+        code, out = run_json(
+            capsys,
+            ["recognize", write(tmp_path, "g.col", text), "--format", "edgelist"],
+        )
+        assert code == 0
+        assert out["n"] == 3 and out["split"] is True
 
 
 def test_recognize_edgelist_short_edge_line(tmp_path):
@@ -107,6 +108,10 @@ def test_recognize_edgelist_short_edge_line(tmp_path):
         ("p edge 3 5\ne 1 2\n", "header promises 5 edges, found 1"),
         ("c x\ne 1 2\np edge 2 1\n", "edge line before 'p edge' header at line 2: 'e 1 2'"),
         ("c only a comment\n", "missing 'p edge' header"),
+        ("p edge 1_0 1\n", "malformed header at line 1: 'p edge 1_0 1'"),
+        ("p edge \uff13 1\n", "malformed header at line 1: 'p edge \uff13 1'"),
+        ("p edge 3 1\ne 1_0 1\n", "malformed edge at line 2: 'e 1_0 1'"),
+        ("p edge 3 1\ne 1 \uff12\n", "malformed edge at line 2: 'e 1 \uff12'"),
     ],
 )
 def test_recognize_edgelist_bad_field_is_exit_two(tmp_path, capsys, text, error):
@@ -133,6 +138,10 @@ def test_recognize_edgelist_bad_field_is_exit_two(tmp_path, capsys, text, error)
         ("p cnf 3 1\n1 -2 3\n", "unterminated clause '1 -2 3' at line 2"),
         ("p cnf 2 1\n1 -3 2 0\n", "variable 3 out of range 1..2 at line 2: '1 -3 2 0'"),
         ("c only a comment\n", "missing 'p cnf' header"),
+        ("p cnf 3 1_0\n", "malformed header at line 1: 'p cnf 3 1_0'"),
+        ("p cnf \uff13 1\n", "malformed header at line 1: 'p cnf \uff13 1'"),
+        ("p cnf 3 1\n1 2 1_0 0\n", "malformed literal at line 2: '1 2 1_0 0'"),
+        ("p cnf 3 1\n\uff11 2 3 0\n", "malformed literal at line 2: '\uff11 2 3 0'"),
     ],
 )
 def test_reduce_cnf_bad_field_is_exit_two(tmp_path, capsys, text, error):
@@ -140,6 +149,21 @@ def test_reduce_cnf_bad_field_is_exit_two(tmp_path, capsys, text, error):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert json.loads(err) == {"error": error}
+
+
+@pytest.mark.parametrize(
+    "name, text, fmt",
+    [
+        ("g.json", json.dumps({"n": 2**62, "edges": []}), "json"),
+        ("g.col", f"p edge {2**62} 0\n", "edgelist"),
+    ],
+)
+def test_out_of_memory_is_exit_three(tmp_path, capsys, name, text, fmt):
+    # CPython refuses a list of 2**62 vertex masks before it allocates any
+    code = run(["recognize", write(tmp_path, name, text), "--format", fmt])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "out of memory"}
 
 
 def test_decide_and_shortest(tmp_path, capsys):

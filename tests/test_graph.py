@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -682,6 +683,37 @@ def test_parse_edgelist():
     g = parse_edgelist("c comment\np edge 4 2\ne 1 2\ne 3 4\n")
     assert g.n == 4
     assert g.edges == frozenset({(0, 1), (2, 3)})
+    # a sign before the digits is part of the integer rule, as in MiniSat
+    assert parse_edgelist("p edge +4 +2\ne +1 2\ne 3 +4\n").edges == g.edges
+
+
+def test_parse_edgelist_peak_is_its_edge_list():
+    # the reduction of a random 60-variable, 60-clause formula as an edge
+    # list (840 vertices, 17,310 edges): duplicates are found by mask bits,
+    # so the parse peaks at about 1.7 times a list of its pairs, where a set
+    # of the pairs beside the list peaked at 2.9 times
+    rng = random.Random(100)
+    clauses = tuple(
+        tuple((v, rng.random() < 0.5) for v in rng.sample(range(60), 3))
+        for _ in range(60)
+    )
+    g = build_instance(reduction.CnfFormula(60, clauses), 3).graph
+    edges = sorted(g.edges)
+    text = f"p edge {g.n} {g.m}\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in edges)
+    tracemalloc.start()
+    try:
+        # new int objects, as the parse makes them
+        pairs = [(int(str(u)), int(str(v))) for u, v in edges]
+        listed = tracemalloc.get_traced_memory()[0]
+        del pairs
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        back = parse_edgelist(text)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert back.adj_mask == g.adj_mask
+    assert peak <= 2.5 * listed, (peak, listed)
 
 
 def test_parse_edgelist_errors():
@@ -706,6 +738,14 @@ def test_parse_edgelist_errors():
         ("p edge 3 0\ne 1 2\n", "header promises 0 edges, found 1"),
         ("c x\ne 1 2\np edge 2 1\n", "edge line before 'p edge' header at line 2: 'e 1 2'"),
         ("c only a comment\n", "missing 'p edge' header"),
+        ("p cnf 3 0\n", "malformed header at line 1: 'p cnf 3 0'"),
+        # an integer is ASCII digits after an optional sign, which int()
+        # alone does not check
+        ("p edge 1_0 1\n", "malformed header at line 1: 'p edge 1_0 1'"),
+        ("p edge \uff13 1\n", "malformed header at line 1: 'p edge \uff13 1'"),
+        ("p edge 3 1\ne 1 1_0\n", "malformed edge at line 2: 'e 1 1_0'"),
+        ("p edge 3 1\ne \uff11 2\n", "malformed edge at line 2: 'e \uff11 2'"),
+        ("p edge 3 1\ne +-1 2\n", "malformed edge at line 2: 'e +-1 2'"),
     ]:
         with pytest.raises(GraphError) as exc:
             parse_edgelist(text)

@@ -31,6 +31,8 @@ def test_parse_basic():
     phi = parse_e3cnf("p cnf 3 1\n1 2 -3 0\n")
     assert phi.num_vars == 3
     assert phi.clauses == (((0, True), (1, True), (2, False)),)
+    # a sign before the digits is part of the integer rule, as in MiniSat
+    assert parse_e3cnf("p cnf +3 +1\n+1 2 -3 +0\n") == phi
 
 
 def test_parse_rejects_short_clause():
@@ -74,6 +76,14 @@ def test_parse_errors():
         ("p cnf 2 1\n1 -3 2 0\n", "variable 3 out of range 1..2 at line 2: '1 -3 2 0'"),
         ("p cnf 3 2\n1 2 3 0\n-1 -4 0\n", "variable 4 out of range 1..3 at line 3: '-1 -4 0'"),
         ("c only a comment\n", "missing 'p cnf' header"),
+        ("p edge 3 1\n", "malformed header at line 1: 'p edge 3 1'"),
+        ("p cnf 3\n", "malformed header at line 1: 'p cnf 3'"),
+        # an integer is ASCII digits after an optional sign, which int()
+        # alone does not check
+        ("p cnf 1_0 1\n", "malformed header at line 1: 'p cnf 1_0 1'"),
+        ("p cnf 3 \uff11\n", "malformed header at line 1: 'p cnf 3 \uff11'"),
+        ("p cnf 3 1\n1_0 2 3 0\n", "malformed literal at line 2: '1_0 2 3 0'"),
+        ("p cnf 3 1\n1 -\uff12 3 0\n", "malformed literal at line 2: '1 -\uff12 3 0'"),
     ],
 )
 def test_parse_names_line_of_bad_field(text, error):
@@ -320,6 +330,15 @@ def test_stats_disconnected_diameter_none():
 def test_stats_empty_instance_diameter_none():
     st = instance_stats(build_instance(parse_e3cnf("p cnf 0 0"), 3))
     assert (st.vertices, st.tokens, st.diameter, st.chordal) == (0, 0, None, True)
+
+
+@pytest.mark.parametrize("key", ["graph", "start", "target", "k", "labelMap", "formula"])
+def test_instance_from_json_names_a_missing_key(key):
+    data = instance_to_json(build_instance(PHI1, 3))
+    del data[key]
+    with pytest.raises(GraphError) as exc:
+        instance_from_json(data)
+    assert str(exc.value) == f"reduction instance is missing key {key!r}"
 
 
 def test_instance_json_round_trip():

@@ -15,7 +15,6 @@ SRC = os.path.dirname(os.path.dirname(kjump.__file__))
 # script -> (small arguments, a line fragment its output must contain)
 RUNS = {
     "theorem1_sweep.py": (["--graphs", "40"], "no violations"),
-    "split2_differential.py": (["--trials", "300"], "0 mismatches"),
     "reduction_table.py": (["--kmax", "4"], "satisfiable=yes"),
 }
 

@@ -93,8 +93,8 @@ def _dec_with_bare_clique_vertices():
     # clique {0, 1, 2} and independent side {3, 4}, both neighbours of 0 only:
     # a partition recognize_split never gives, as 1 and 2 see no independent
     # vertex, so the cluster of 1 and 2 has an empty U side and |N| = 0
-    bare = Cluster(frozenset(), frozenset({1, 2}), 1, frozenset())
-    full = Cluster(frozenset({3, 4}), frozenset({0}), 0, frozenset({3, 4}))
+    bare = Cluster(frozenset(), frozenset({1, 2}), 1, 0)
+    full = Cluster(frozenset({3, 4}), frozenset({0}), 0, 2)
     return SplitDecomposition(frozenset({0, 1, 2}), frozenset({3, 4}), (bare, full))
 
 
@@ -137,7 +137,7 @@ def _reference_graphs():
 
 def test_decompose_matches_list_reference():
     # the mask BFS of recognize_split gives the clusters, their order, vmin
-    # and nbhd of the neighbour-list DFS, on the canonical partition of every
+    # and n_size of the neighbour-list DFS, on the canonical partition of every
     # atlas and random graph
     checked = 0
     for g in _reference_graphs():
@@ -237,7 +237,7 @@ def test_condition_two_case_form():
     # two-case statement: kappa = 1 when |N_i| = 1, kappa = 2 when larger.
     def dec_with(ub, n0, ni):
         def cluster(k):
-            return Cluster(frozenset(), frozenset(), None, frozenset(range(k)))
+            return Cluster(frozenset(), frozenset(), None, k)
 
         return SplitDecomposition(
             frozenset(), frozenset(range(ub)), (cluster(n0), cluster(ni))
@@ -298,11 +298,18 @@ def test_decide2_clique_token_normalized():
 
 
 def test_decide2_errors(two_per_side):
+    # a bad pair gets decide's message, from the same check
     g, _ = two_per_side
-    with pytest.raises(GraphError, match="size mismatch"):
-        decide2(g, {2}, {4, 5})
-    with pytest.raises(GraphError, match="independent"):
-        decide2(g, {0, 2}, {4, 5})
+    for s, t, error in [
+        ({2}, {4, 5}, "size mismatch: |start| = 1, |target| = 2"),
+        ({0, 2}, {4, 5}, "start is not an independent set: [0, 2]"),
+        ({2, 4}, {0, 2}, "target is not an independent set: [0, 2]"),
+        ({2, 9}, {4, 5}, "vertex out of range: 9"),
+    ]:
+        for decide_pair in (lambda: engine.decide(g, s, t, 2), lambda: decide2(g, s, t)):
+            with pytest.raises(GraphError) as exc:
+                decide_pair()
+            assert str(exc.value) == error
     with pytest.raises(NotSplitError):
         decide2(build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), {0, 2}, {1, 3})
 
