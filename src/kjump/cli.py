@@ -263,11 +263,12 @@ def run(argv=None):
         return 2 if exc.code else 0
     try:
         return args.fn(args)
-    except (engine.ResourceExhausted, MemoryError) as exc:
-        # a MemoryError may carry no message
+    except (engine.ResourceExhausted, MemoryError, OverflowError) as exc:
+        # a MemoryError may carry no message; an OverflowError is a size
+        # past the machine's index range, such as a vertex count of 2**63
         print(json.dumps({"error": str(exc) or "out of memory"}), file=sys.stderr)
         return 3
-    except (GraphError, reduction.CnfError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # GraphError and CnfError included
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 

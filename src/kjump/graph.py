@@ -260,8 +260,8 @@ class Cluster:
 
     u_side lies in the independent part, v_side in the clique part. n_size
     is the size of the neighborhood (within the cluster) of vmin, a
-    minimum-degree vertex of v_side. u_side is never empty; vmin is None (v_side
-    empty and n_size 0) only for the cluster of an isolated vertex.
+    minimum-degree vertex of v_side. u_side is never empty; v_side is empty
+    (vmin None, n_size 0) only for an isolated vertex, and those come first.
     """
 
     u_side: frozenset
@@ -386,12 +386,14 @@ def recognize_split(g):
     movable vertex gives the lexicographically smallest clique part.
 
     Every clique vertex then has an independent neighbour: by definition
-    with no movable vertex, else it sees the moved one. So every cluster has
-    an independent side, and alpha(g) = |indep_part|: an independent set
-    holds at most one clique vertex, and then misses its independent
-    neighbour. Clusters are the components of bip[v] = adj[v] & (the other
-    part), by a mask BFS from the lowest unvisited vertex, stably sorted by
-    n_size.
+    with no movable vertex, else it sees the moved one. So alpha(g) =
+    |indep_part|: an independent set holds at most one clique vertex, and
+    then misses its independent neighbour. Clusters are the components of
+    bip[v] = adj[v] & (the other part), by a mask BFS from the lowest
+    unvisited vertex, stably sorted by n_size. Each has an independent side.
+    An isolated vertex is independent (in K0 it would be all of K0, and
+    movable), so its cluster has no clique side and n_size 0, while every
+    other cluster has n_size >= 1: the isolated vertices' clusters lead.
     """
     part = _degree_partition(g)
     if part is None:
@@ -563,12 +565,21 @@ def json_ints(data, what):
     return data
 
 
-def json_vertex(key, what):
-    """The vertex id that a key of the JSON object `what` names."""
-    try:
-        return int(key)
-    except ValueError:
-        raise GraphError(f"{what} key {key!r} is not an integer vertex id") from None
+def json_vertex_keys(data, n, what):
+    """The JSON object data, the document `what`, keyed by the vertex ids
+    its keys name: each an integer by the rule of parse_int, in 0..n-1."""
+    out = {}
+    for key, value in json_object(data, what).items():
+        # plain digits, the common case, need no call to parse_int
+        v = int(key) if key.isascii() and key.isdigit() else parse_int(key)
+        if v is None:
+            raise GraphError(f"{what} key {key!r} is not an integer vertex id")
+        if not 0 <= v < n:
+            raise GraphError(
+                f"{what} key {key!r} is out of range: the graph has {n} vertices"
+            )
+        out[v] = value
+    return out
 
 
 def json_pairs(data, what):
@@ -581,12 +592,11 @@ def json_pairs(data, what):
 
 def graph_from_json(data):
     json_object(data, "graph", ("n", "edges"))
-    labels = None
+    # Graph checks the count and each pair before a label key is read
+    g = Graph(json_int(data["n"], "vertex count"), json_list(data["edges"], "edges"))
     if "labels" in data:
-        labels = json_object(data["labels"], "labels")
-        labels = {json_vertex(k, "labels"): v for k, v in labels.items()}
-    edges = json_list(data["edges"], "edges")  # Graph checks each pair
-    return Graph(json_int(data["n"], "vertex count"), edges, labels)
+        g.labels = json_vertex_keys(data["labels"], g.n, "labels")
+    return g
 
 
 def dimacs_header(parts, formats, seen, lineno, line, error=GraphError):

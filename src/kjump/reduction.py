@@ -26,7 +26,7 @@ from .graph import (
     json_ints,
     json_list,
     json_object,
-    json_vertex,
+    json_vertex_keys,
     parse_int,
     verify_peo,
 )
@@ -85,12 +85,7 @@ def parse_e3cnf(text):
             if not pending:
                 first = lineno  # the line the clause starts on
             if lit == 0:
-                if len(pending) != 3:
-                    raise CnfError(
-                        f"clause {_words(pending)} at line {first} has"
-                        f" {len(pending)} literals, need 3"
-                    )
-                clauses.append(tuple((abs(x) - 1, x > 0) for x in pending))
+                clauses.append(_clause(pending, first))
                 pending = []
             elif abs(lit) > num_vars:
                 raise CnfError(
@@ -108,6 +103,16 @@ def parse_e3cnf(text):
             f"header promises {num_clauses} clauses, found {len(clauses)}"
         )
     return CnfFormula(num_vars, tuple(clauses))
+
+
+def _clause(lits, line=None):
+    """The (variable, positive flag) pairs of a clause of signed DIMACS
+    literals, which must number exactly three. An error names the clause by
+    its literals, and by the line it starts on when one is given."""
+    if len(lits) != 3:
+        where = lits if line is None else f"{_words(lits)} at line {line}"
+        raise CnfError(f"clause {where} has {len(lits)} literals, need 3")
+    return tuple((abs(x) - 1, x > 0) for x in lits)
 
 
 def _words(lits):
@@ -338,17 +343,18 @@ def instance_from_json(data):
     )
     formula = json_object(data["formula"], "formula", ("numVars", "clauses"))
     num_vars = json_int(formula["numVars"], "numVars")
+    if num_vars < 0:
+        raise CnfError(f"numVars must be nonnegative, got {num_vars}")
     clauses = []
     for cl in json_list(formula["clauses"], "clauses"):
         lits = json_ints(cl, "clause")
         if not all(0 < abs(lit) <= num_vars for lit in lits):
             raise CnfError(f"clause {lits} names a variable outside 1..{num_vars}")
-        clauses.append(tuple((abs(lit) - 1, lit > 0) for lit in lits))
-    labels = {}
-    for v, lab in json_object(data["labelMap"], "labelMap").items():
+        clauses.append(_clause(lits))
+    labels = json_vertex_keys(data["labelMap"], g.n, "labelMap")
+    for v, lab in labels.items():
         if not isinstance(lab, str):
             raise GraphError(f"label of vertex {v} must be a string, got {lab!r}")
-        labels[json_vertex(v, "labelMap")] = lab
     return ReductionInstance(
         g, k, start, target, labels, CnfFormula(num_vars, tuple(clauses))
     )

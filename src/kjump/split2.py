@@ -12,10 +12,10 @@ cases reduce to a counting condition on |U^B|.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .engine import _check_pair
-from .graph import GraphError, recognize_split
+from .graph import GraphError, SplitDecomposition, recognize_split
 
 
 class ClusterKind(enum.Enum):
@@ -33,7 +33,7 @@ class Decision:
         return self.reconfigurable
 
 
-def normalize_typical(g, dec, config):
+def normalize_typical(dec, config):
     """Move the (at most one) clique token to the lowest-id empty vertex of
     the independent part. The landing vertex is never blocked: all remaining
     tokens sit in the edgeless independent part."""
@@ -109,27 +109,25 @@ def decide2(g, s, t, dec=None):
     s, t = _check_pair(g, s, t, 2)
     trace = []
     if dec is None:
-        # NotSplitError on non-split input, before an isolated-vertex rule
-        # can answer for it
-        dec = recognize_split(g)
+        dec = recognize_split(g)  # NotSplitError on non-split input
 
-    # Isolated vertices can neither emit nor receive tokens at any k. Each
-    # one is a cluster with an empty clique side; drop those clusters.
-    iso = frozenset(v for v, nb in enumerate(g.adj_mask) if not nb)
-    if iso:
+    # Isolated vertices can neither emit nor receive tokens at any k. They
+    # are the leading clusters, those with an empty clique side; strip them.
+    lead = [c.u_side for c in dec.clusters if not c.v_side]
+    if lead:
+        iso, core = frozenset().union(*lead), dec.clusters[len(lead):]
         if s & iso != t & iso:
             trace.append("isolated-vertex token mismatch")
             return Decision(False, trace)
         trace.append("isolated vertices stripped")
         s, t = s - iso, t - iso
-        if len(iso) == g.n:
+        if not core:
             trace.append("empty core: trivially reconfigurable")
             return Decision(True, trace)
-        clusters = tuple(c for c in dec.clusters if c.v_side)
-        dec = replace(dec, indep_part=dec.indep_part - iso, clusters=clusters)
+        dec = SplitDecomposition(dec.clique_part, dec.indep_part - iso, core)
 
-    s = normalize_typical(g, dec, s)
-    t = normalize_typical(g, dec, t)
+    s = normalize_typical(dec, s)
+    t = normalize_typical(dec, t)
     ds, dt = distribution(dec, s), distribution(dec, t)
 
     fs, ft = freeable_set(dec, ds), freeable_set(dec, dt)

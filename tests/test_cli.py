@@ -166,6 +166,18 @@ def test_out_of_memory_is_exit_three(tmp_path, capsys, name, text, fmt):
     assert json.loads(err) == {"error": "out of memory"}
 
 
+@pytest.mark.parametrize("n", [2**63, 2**64])
+@pytest.mark.parametrize("fmt", ["json", "edgelist"])
+def test_vertex_count_past_index_range_is_exit_three(tmp_path, capsys, n, fmt):
+    # CPython refuses a list of 2**63 or more vertex masks before it
+    # allocates any, with an OverflowError in place of a MemoryError
+    text = json.dumps({"n": n, "edges": []}) if fmt == "json" else f"p edge {n} 0\n"
+    code = run(["recognize", write(tmp_path, "g.txt", text), "--format", fmt])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert set(json.loads(err)) == {"error"}
+
+
 def test_decide_and_shortest(tmp_path, capsys):
     g = path_graph(4)
     inst = instance_file(tmp_path, g, {0}, {3}, 2)
@@ -371,6 +383,10 @@ LABEL_KEY_CASES = [
     ("decide", {**GOOD_INSTANCE, "graph": {**GOOD_GRAPH, "labels": {"a": "x"}}}),
     ("recognize", {**GOOD_GRAPH, "labels": {"0": "x", "1.5": "y"}}),
     ("stats", {**_reduced_instance(), "labelMap": {"a": "v:0:0"}}),
+    ("recognize", {**GOOD_GRAPH, "labels": {"1_0": "x"}}),
+    ("recognize", {**GOOD_GRAPH, "labels": {" 1": "x"}}),
+    ("decide2", {**GOOD_INSTANCE, "graph": {**GOOD_GRAPH, "labels": {"\uff13": "x"}}}),
+    ("stats", {**_reduced_instance(), "labelMap": {"1_0": "v:0:0"}}),
 ]
 
 
@@ -440,10 +456,61 @@ def test_missing_json_key_names_document_and_key(tmp_path, capsys, case, error):
         (LABEL_KEY_CASES[0], "labels key 'a' is not an integer vertex id"),
         (LABEL_KEY_CASES[1], "labels key '1.5' is not an integer vertex id"),
         (LABEL_KEY_CASES[2], "labelMap key 'a' is not an integer vertex id"),
+        (LABEL_KEY_CASES[3], "labels key '1_0' is not an integer vertex id"),
+        (LABEL_KEY_CASES[4], "labels key ' 1' is not an integer vertex id"),
+        (LABEL_KEY_CASES[5], "labels key '\uff13' is not an integer vertex id"),
+        (LABEL_KEY_CASES[6], "labelMap key '1_0' is not an integer vertex id"),
     ],
 )
 def test_non_integer_label_key_names_document_and_key(tmp_path, capsys, case, error):
     assert _run_on_doc(tmp_path, capsys, *case) == (2, {"error": error})
+
+
+@pytest.mark.parametrize("key", ["-5", "99", "2", "24"])
+def test_label_key_names_a_vertex(tmp_path, capsys, key):
+    # keys are read by the integer rule of every other field and must name a
+    # vertex: n = 2 for labels, 24 for the reduced instance's labelMap
+    graph = {"n": 2, "edges": [[0, 1]], "labels": {key: "x"}}
+    error = f"labels key {key!r} is out of range: the graph has 2 vertices"
+    assert _run_on_doc(tmp_path, capsys, "recognize", graph) == (2, {"error": error})
+    reduced = _reduced_instance()
+    assert reduced["graph"]["n"] == 24
+    if key != "2":
+        reduced["labelMap"][key] = "v:0:0"
+        error = f"labelMap key {key!r} is out of range: the graph has 24 vertices"
+        assert _run_on_doc(tmp_path, capsys, "stats", reduced) == (2, {"error": error})
+
+
+def test_label_key_takes_the_integer_field_rule():
+    # "+1" names vertex 1, as "+3" reads as 3 in a DIMACS file
+    doc = {"n": 2, "edges": [], "labels": {"+1": "x", "0": "y"}}
+    assert kjump.graph.parse_graph(json.dumps(doc)).labels == {1: "x", 0: "y"}
+
+
+@pytest.mark.parametrize(
+    "formula, error",
+    [
+        ({"numVars": 3, "clauses": [[-1, -2]]}, "clause [-1, -2] has 2 literals, need 3"),
+        (
+            {"numVars": 3, "clauses": [[1, 2, 3], [1, 2, 3, 1]]},
+            "clause [1, 2, 3, 1] has 4 literals, need 3",
+        ),
+        ({"numVars": -2, "clauses": []}, "numVars must be nonnegative, got -2"),
+    ],
+)
+@pytest.mark.parametrize("command", ["stats", "witness", "extract"])
+def test_reduction_instance_keeps_e3_rule(tmp_path, capsys, formula, error, command):
+    # the formula of a reduction instance is read by the clause rule of
+    # parse_e3cnf: exactly three literals, over a nonnegative variable count
+    inst = write(tmp_path, "i.json", {**_reduced_instance(), "formula": formula})
+    argv = {
+        "stats": ["stats", inst],
+        "witness": ["witness", inst, "--assignment", "100"],
+        "extract": ["extract", inst, write(tmp_path, "s.json", GOOD_SEQUENCE)],
+    }[command]
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert (code, out, json.loads(err)) == (2, "", {"error": error})
 
 
 # every subcommand that reads JSON, with each of its JSON files in turn

@@ -51,12 +51,12 @@ def three_per_side():
 
 def test_normalize_identity_on_typical(two_per_side):
     g, dec = two_per_side
-    assert normalize_typical(g, dec, {2, 4}) == frozenset({2, 4})
+    assert normalize_typical(dec, {2, 4}) == frozenset({2, 4})
 
 
 def test_normalize_moves_clique_token(two_per_side):
     g, dec = two_per_side
-    out = normalize_typical(g, dec, {1, 2})
+    out = normalize_typical(dec, {1, 2})
     assert out == frozenset({2, 3})  # lowest-id empty independent vertex
     assert engine.k_adjacent(g, {1, 2}, out, 2)
 
@@ -64,7 +64,7 @@ def test_normalize_moves_clique_token(two_per_side):
 def test_normalize_signals_trivial_regime(two_per_side):
     g, dec = two_per_side
     with pytest.raises(GraphError, match="not an independent set"):
-        normalize_typical(g, dec, frozenset({0, 2, 3, 4, 5}))
+        normalize_typical(dec, frozenset({0, 2, 3, 4, 5}))
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +145,29 @@ def test_decompose_matches_list_reference():
         assert dec == naive_decompose(g, dec.clique_part, dec.indep_part), g.edges
         checked += 1
     assert checked == 814 + 300
+
+
+def test_isolated_vertices_are_the_leading_clusters():
+    # decide2 reads the isolated vertices off the decomposition: the clusters
+    # with an empty clique side are a prefix of dec.clusters, one per
+    # zero-degree vertex, on the atlas, on random split graphs with isolated
+    # vertices placed among the ids, and on the empty and edgeless graphs
+    rng = random.Random(71)
+    graphs = list(split_graphs_upto(8)) + [build_graph(0, []), build_graph(5, [])]
+    for _ in range(300):
+        core = random_split_graph(rng.randint(1, 10), rng)
+        n = core.n + rng.randint(1, 2)
+        ids = rng.sample(range(n), core.n)  # the ids left over are isolated
+        graphs.append(build_graph(n, [(ids[u], ids[v]) for u, v in core.edges]))
+    with_isolated = 0
+    for g in graphs:
+        clusters = recognize_split(g).clusters
+        lead = [c for c in clusters if not c.v_side]
+        assert list(clusters[: len(lead)]) == lead, g.edges
+        zero = [(v,) for v in range(g.n) if g.degree(v) == 0]
+        assert sorted(tuple(c.u_side) for c in lead) == zero, g.edges
+        with_isolated += bool(zero)
+    assert with_isolated > 300
 
 
 def test_frozen_is_empty_freeable_set():
