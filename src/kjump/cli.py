@@ -264,8 +264,8 @@ def run(argv=None):
     try:
         return args.fn(args)
     except (engine.ResourceExhausted, MemoryError, OverflowError) as exc:
-        # a MemoryError may carry no message; an OverflowError is a size
-        # past the machine's index range, such as a vertex count of 2**63
+        # a MemoryError may carry no message; an OverflowError is a number
+        # past the machine's range, such as a vertex count of 2**63
         print(json.dumps({"error": str(exc) or "out of memory"}), file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:  # GraphError and CnfError included

@@ -39,7 +39,7 @@ class Graph:
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
         self.n = n
-        masks = [0] * n
+        masks = zero_masks(n)
         for p in edges:
             # the shape check of a JSON edge list, in the same pass
             try:
@@ -524,6 +524,18 @@ def parse_json(text):
         raise GraphError("JSON input is nested too deeply") from None
 
 
+def zero_masks(n):
+    """A list of n zero masks, one per vertex. CPython refuses a list of
+    2**63 or more items with an OverflowError that names no count; this one
+    names the vertex count."""
+    try:
+        return [0] * n
+    except OverflowError:
+        raise OverflowError(
+            f"vertex count {n} is past the machine's index range"
+        ) from None
+
+
 def parse_int(field):
     """The integer that the text field spells, or None unless it is ASCII
     digits after an optional sign: int() alone would also take '1_0',
@@ -570,14 +582,15 @@ def json_vertex_keys(data, n, what):
     its keys name: each an integer by the rule of parse_int, in 0..n-1."""
     out = {}
     for key, value in json_object(data, what).items():
-        # plain digits, the common case, need no call to parse_int
-        v = int(key) if key.isascii() and key.isdigit() else parse_int(key)
+        v = parse_int(key)
         if v is None:
             raise GraphError(f"{what} key {key!r} is not an integer vertex id")
         if not 0 <= v < n:
             raise GraphError(
                 f"{what} key {key!r} is out of range: the graph has {n} vertices"
             )
+        if v in out:
+            raise GraphError(f"{what} key {key!r} names vertex {v} again")
         out[v] = value
     return out
 
@@ -624,7 +637,7 @@ def parse_edgelist(text):
         parts = line.split()
         if parts[0] == "p":
             n, m = dimacs_header(parts, ("edge", "edges"), n is not None, lineno, line)
-            masks = [0] * (n + 1)  # bit v of masks[u] for each edge uv read
+            masks = [0] + zero_masks(n)  # bit v of masks[u] for each edge uv read
         elif parts[0] == "e":
             if n is None:
                 raise GraphError(

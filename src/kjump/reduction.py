@@ -110,8 +110,8 @@ def _clause(lits, line=None):
     literals, which must number exactly three. An error names the clause by
     its literals, and by the line it starts on when one is given."""
     if len(lits) != 3:
-        where = lits if line is None else f"{_words(lits)} at line {line}"
-        raise CnfError(f"clause {where} has {len(lits)} literals, need 3")
+        where = "" if line is None else f" at line {line}"
+        raise CnfError(f"clause {_words(lits)}{where} has {len(lits)} literals, need 3")
     return tuple((abs(x) - 1, x > 0) for x in lits)
 
 

@@ -113,9 +113,10 @@ def decide2(g, s, t, dec=None):
 
     # Isolated vertices can neither emit nor receive tokens at any k. They
     # are the leading clusters, those with an empty clique side; strip them.
-    lead = [c.u_side for c in dec.clusters if not c.v_side]
+    lead = next((i for i, c in enumerate(dec.clusters) if c.v_side), len(dec.clusters))
     if lead:
-        iso, core = frozenset().union(*lead), dec.clusters[len(lead):]
+        iso = frozenset().union(*(c.u_side for c in dec.clusters[:lead]))
+        core = dec.clusters[lead:]
         if s & iso != t & iso:
             trace.append("isolated-vertex token mismatch")
             return Decision(False, trace)

@@ -175,7 +175,8 @@ def test_vertex_count_past_index_range_is_exit_three(tmp_path, capsys, n, fmt):
     code = run(["recognize", write(tmp_path, "g.txt", text), "--format", fmt])
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
-    assert set(json.loads(err)) == {"error"}
+    error = f"vertex count {n} is past the machine's index range"
+    assert json.loads(err) == {"error": error}
 
 
 def test_decide_and_shortest(tmp_path, capsys):
@@ -387,6 +388,7 @@ LABEL_KEY_CASES = [
     ("recognize", {**GOOD_GRAPH, "labels": {" 1": "x"}}),
     ("decide2", {**GOOD_INSTANCE, "graph": {**GOOD_GRAPH, "labels": {"\uff13": "x"}}}),
     ("stats", {**_reduced_instance(), "labelMap": {"1_0": "v:0:0"}}),
+    ("recognize", {**GOOD_GRAPH, "labels": {"1": "x", "01": "y", "+1": "z"}}),
 ]
 
 
@@ -481,6 +483,16 @@ def test_label_key_names_a_vertex(tmp_path, capsys, key):
         assert _run_on_doc(tmp_path, capsys, "stats", reduced) == (2, {"error": error})
 
 
+def test_label_keys_name_each_vertex_once(tmp_path, capsys):
+    # "1", "01" and "+1" all name vertex 1; a second key for it is an error
+    error = "labels key '01' names vertex 1 again"
+    assert _run_on_doc(tmp_path, capsys, *LABEL_KEY_CASES[7]) == (2, {"error": error})
+    reduced = _reduced_instance()
+    reduced["labelMap"]["+3"] = "v:0:0"
+    error = "labelMap key '+3' names vertex 3 again"
+    assert _run_on_doc(tmp_path, capsys, "stats", reduced) == (2, {"error": error})
+
+
 def test_label_key_takes_the_integer_field_rule():
     # "+1" names vertex 1, as "+3" reads as 3 in a DIMACS file
     doc = {"n": 2, "edges": [], "labels": {"+1": "x", "0": "y"}}
@@ -490,10 +502,10 @@ def test_label_key_takes_the_integer_field_rule():
 @pytest.mark.parametrize(
     "formula, error",
     [
-        ({"numVars": 3, "clauses": [[-1, -2]]}, "clause [-1, -2] has 2 literals, need 3"),
+        ({"numVars": 3, "clauses": [[-1, -2]]}, "clause '-1 -2' has 2 literals, need 3"),
         (
             {"numVars": 3, "clauses": [[1, 2, 3], [1, 2, 3, 1]]},
-            "clause [1, 2, 3, 1] has 4 literals, need 3",
+            "clause '1 2 3 1' has 4 literals, need 3",
         ),
         ({"numVars": -2, "clauses": []}, "numVars must be nonnegative, got -2"),
     ],
