@@ -113,7 +113,11 @@ def decide2(g, s, t, dec=None):
 
     # Isolated vertices can neither emit nor receive tokens at any k. They
     # are the leading clusters, those with an empty clique side; strip them.
-    lead = next((i for i, c in enumerate(dec.clusters) if c.v_side), len(dec.clusters))
+    lead = 0
+    for c in dec.clusters:
+        if c.v_side:
+            break
+        lead += 1
     if lead:
         iso = frozenset().union(*(c.u_side for c in dec.clusters[:lead]))
         core = dec.clusters[lead:]
