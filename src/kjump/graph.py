@@ -388,12 +388,10 @@ def recognize_split(g):
     Every clique vertex then has an independent neighbour: by definition
     with no movable vertex, else it sees the moved one. So alpha(g) =
     |indep_part|: an independent set holds at most one clique vertex, and
-    then misses its independent neighbour. Clusters are the components of
-    bip[v] = adj[v] & (the other part), by a mask BFS from the lowest
-    unvisited vertex, stably sorted by n_size. Each has an independent side.
-    An isolated vertex is independent (in K0 it would be all of K0, and
-    movable), so its cluster has no clique side and n_size 0, while every
-    other cluster has n_size >= 1: the isolated vertices' clusters lead.
+    then misses its independent neighbour. Clusters, the components of
+    bip[v] = adj[v] & (the other part) by a mask BFS from the lowest
+    unvisited vertex, are stably sorted by n_size, which is 0 only for an
+    isolated vertex (independent: in K0 it would be movable); those lead.
     """
     part = _degree_partition(g)
     if part is None:

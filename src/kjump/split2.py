@@ -113,23 +113,20 @@ def decide2(g, s, t, dec=None):
 
     # Isolated vertices can neither emit nor receive tokens at any k. They
     # are the leading clusters, those with an empty clique side; strip them.
-    lead = 0
-    for c in dec.clusters:
-        if c.v_side:
-            break
-        lead += 1
-    if lead:
-        iso = frozenset().union(*(c.u_side for c in dec.clusters[:lead]))
-        core = dec.clusters[lead:]
+    i = 0
+    while i < len(dec.clusters) and not dec.clusters[i].v_side:
+        i += 1
+    if i:
+        iso = frozenset().union(*(c.u_side for c in dec.clusters[:i]))
         if s & iso != t & iso:
             trace.append("isolated-vertex token mismatch")
             return Decision(False, trace)
         trace.append("isolated vertices stripped")
         s, t = s - iso, t - iso
-        if not core:
+        if i == len(dec.clusters):
             trace.append("empty core: trivially reconfigurable")
             return Decision(True, trace)
-        dec = SplitDecomposition(dec.clique_part, dec.indep_part - iso, core)
+        dec = SplitDecomposition(dec.clique_part, dec.indep_part - iso, dec.clusters[i:])
 
     s = normalize_typical(dec, s)
     t = normalize_typical(dec, t)
