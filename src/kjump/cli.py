@@ -1,5 +1,6 @@
 """Command-line surface. Every subcommand reads JSON (or DIMACS-style text)
-and writes one deterministic JSON document to stdout.
+and returns one payload, which `run` writes to stdout as one sorted-key
+JSON line.
 
 Exit codes: 0 = computed (including "no" answers), 2 = input or usage error,
 3 = resource cap hit or out of memory.
@@ -34,10 +35,6 @@ def _read(path):
         return fh.read()
 
 
-def _emit(payload):
-    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
-
-
 def _cmd_recognize(args):
     g = parse_graph(_read(args.graph), args.format)
     report = {"n": g.n, "edges": g.m, "connected": is_connected(g)}
@@ -63,33 +60,27 @@ def _cmd_recognize(args):
     report["chordal"] = peo is not None
     if peo is not None:
         report["peo"] = peo
-    _emit(report)
-    return 0
+    return report
 
 
 def _cmd_decide(args):
     g, s, t, k = engine.instance_from_json(parse_json(_read(args.instance)))
     if args.k is not None:
         k = args.k
-    _emit({"k": k, "reconfigurable": engine.decide(g, s, t, k)})
-    return 0
+    return {"k": k, "reconfigurable": engine.decide(g, s, t, k)}
 
 
 def _cmd_shortest(args):
     g, s, t, k = engine.instance_from_json(parse_json(_read(args.instance)))
     seq = engine.shortest(g, s, t, k)
     if seq is None:
-        _emit({"k": k, "reconfigurable": False, "sequence": "unreachable"})
-    else:
-        _emit(
-            {
-                "k": k,
-                "reconfigurable": True,
-                "length": len(seq),
-                "sequence": engine.sequence_to_json(seq),
-            }
-        )
-    return 0
+        return {"k": k, "reconfigurable": False, "sequence": "unreachable"}
+    return {
+        "k": k,
+        "reconfigurable": True,
+        "length": len(seq),
+        "sequence": engine.sequence_to_json(seq),
+    }
 
 
 def _cmd_decide2(args):
@@ -97,23 +88,20 @@ def _cmd_decide2(args):
     if k != 2:
         raise GraphError(f"decide2 requires k = 2, instance has k = {k}")
     res = split2.decide2(g, s, t)
-    _emit({"reconfigurable": res.reconfigurable, "trace": res.trace})
-    return 0
+    return {"reconfigurable": res.reconfigurable, "trace": res.trace}
 
 
 def _cmd_simulate(args):
     g = parse_graph(_read(args.graph), args.format)
     seq = engine.sequence_from_json(parse_json(_read(args.sequence)))
     out = simulate.simulate_sequence(g, seq, args.k)
-    _emit({"k": args.k, "length": len(out), "sequence": engine.sequence_to_json(out)})
-    return 0
+    return {"k": args.k, "length": len(out), "sequence": engine.sequence_to_json(out)}
 
 
 def _cmd_reduce(args):
     phi = reduction.parse_e3cnf(_read(args.cnf))
     inst = reduction.build_instance(phi, args.k)
-    _emit(reduction.instance_to_json(inst))
-    return 0
+    return reduction.instance_to_json(inst)
 
 
 def _cmd_witness(args):
@@ -123,16 +111,14 @@ def _cmd_witness(args):
         raise reduction.CnfError(f"assignment must be a 0/1 string: {bits!r}")
     assignment = tuple(c == "1" for c in bits)
     seq = reduction.assignment_to_sequence(inst, assignment)
-    _emit({"length": len(seq), "sequence": engine.sequence_to_json(seq)})
-    return 0
+    return {"length": len(seq), "sequence": engine.sequence_to_json(seq)}
 
 
 def _cmd_extract(args):
     inst = reduction.instance_from_json(parse_json(_read(args.instance)))
     seq = engine.sequence_from_json(parse_json(_read(args.sequence)))
     assignment = reduction.sequence_to_assignment(inst, seq)
-    _emit({"assignment": "".join("1" if b else "0" for b in assignment)})
-    return 0
+    return {"assignment": "".join("1" if b else "0" for b in assignment)}
 
 
 def _cmd_verify(args):
@@ -146,23 +132,19 @@ def _cmd_verify(args):
     else:
         out["length"] = len(seq)
         out["reachesTarget"] = seq.final() == t and frozenset(seq.start) == s
-    _emit(out)
-    return 0
+    return out
 
 
 def _cmd_stats(args):
     inst = reduction.instance_from_json(parse_json(_read(args.instance)))
     st = reduction.instance_stats(inst)
-    _emit(
-        {
-            "vertices": st.vertices,
-            "tokens": st.tokens,
-            "diameter": st.diameter,
-            "chordal": st.chordal,
-            "lowerBound": st.lower_bound,
-        }
-    )
-    return 0
+    return {
+        "vertices": st.vertices,
+        "tokens": st.tokens,
+        "diameter": st.diameter,
+        "chordal": st.chordal,
+        "lowerBound": st.lower_bound,
+    }
 
 
 def _cmd_gen(args):
@@ -172,14 +154,10 @@ def _cmd_gen(args):
     # argparse's choices admit only the two kinds
     gen = random_connected_graph if args.kind == "connected" else random_split_graph
     g = gen(args.n, rng)
-    out = {"graph": graph_to_json(g)}
-    if args.with_pair:
-        s, t = random_pair(g, rng, max_size=args.max_tokens)
-        out["start"] = sorted(s)
-        out["target"] = sorted(t)
-        out["k"] = args.k
-    _emit(out)
-    return 0
+    if not args.with_pair:
+        return {"graph": graph_to_json(g)}
+    s, t = random_pair(g, rng, max_size=args.max_tokens)
+    return engine.instance_to_json(g, s, t, args.k)
 
 
 def build_parser():
@@ -262,7 +240,8 @@ def run(argv=None):
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return args.fn(args)
+        sys.stdout.write(json.dumps(args.fn(args), sort_keys=True) + "\n")
+        return 0
     except (engine.ResourceExhausted, MemoryError, OverflowError) as exc:
         # a MemoryError may carry no message; an OverflowError is a number
         # past the machine's range, such as a vertex count of 2**63

@@ -20,11 +20,12 @@ from .graph import (
     ball_levels,
     dist,
     graph_from_json,
+    graph_to_json,
     is_independent,
     json_int,
-    json_ints,
     json_object,
     json_pairs,
+    json_vertex_set,
 )
 
 DEFAULT_STATE_CAP = 4_000_000
@@ -534,14 +535,19 @@ def sequence_to_json(seq):
     }
 
 
+def instance_to_json(g, s, t, k):
+    """The instance document that instance_from_json reads."""
+    return {"graph": graph_to_json(g), "start": sorted(s), "target": sorted(t), "k": k}
+
+
 def instance_from_json(data, what="instance", extra=()):
     """(graph, start, target, k) of the JSON object data, the document
     `what`, which must hold those keys and the keys in extra."""
     json_object(data, what, ("graph", "start", "target", "k", *extra))
     return (
         graph_from_json(data["graph"]),
-        frozenset(json_ints(data["start"], "start")),
-        frozenset(json_ints(data["target"], "target")),
+        json_vertex_set(data["start"], "start"),
+        json_vertex_set(data["target"], "target"),
         json_int(data["k"], "k"),
     )
 
@@ -549,7 +555,7 @@ def instance_from_json(data, what="instance", extra=()):
 def sequence_from_json(data):
     json_object(data, "sequence", ("start", "moves", "k"))
     return MoveSequence(
-        frozenset(json_ints(data["start"], "start")),
+        json_vertex_set(data["start"], "start"),
         tuple(Move(a, b) for a, b in json_pairs(data["moves"], "moves")),
         json_int(data["k"], "k"),
     )

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import re
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 
 
@@ -575,6 +576,15 @@ def json_ints(data, what):
     return data
 
 
+def json_vertex_set(data, what):
+    """The vertices of data, a JSON list of integers that names each once."""
+    out = frozenset(json_ints(data, what))
+    if len(out) < len(data):  # only a list with a repeat pays a second pass
+        v = next(v for v, count in Counter(data).items() if count > 1)
+        raise GraphError(f"{what} names vertex {v} again")
+    return out
+
+
 def json_vertex_keys(data, n, what):
     """The JSON object data, the document `what`, keyed by the vertex ids
     its keys name: each an integer by the rule of parse_int, in 0..n-1."""
@@ -661,6 +671,7 @@ def parse_edgelist(text):
         raise GraphError("missing 'p edge' header")
     if len(edges) != m:
         raise GraphError(f"header promises {m} edges, found {len(edges)}")
+    del masks  # Graph builds its own rows; two copies at once doubled the peak
     return Graph(n, edges)
 
 

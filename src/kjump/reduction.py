@@ -319,13 +319,7 @@ def instance_stats(inst):
 
 
 def instance_to_json(inst):
-    from .graph import graph_to_json
-
-    return {
-        "graph": graph_to_json(inst.graph),
-        "start": sorted(inst.start),
-        "target": sorted(inst.target),
-        "k": inst.k,
+    return engine.instance_to_json(inst.graph, inst.start, inst.target, inst.k) | {
         "labelMap": {str(v): lab for v, lab in inst.label_map.items()},
         "formula": {
             "numVars": inst.formula.num_vars,

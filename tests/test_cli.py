@@ -500,6 +500,37 @@ def test_label_key_takes_the_integer_field_rule():
 
 
 @pytest.mark.parametrize(
+    "command, error",
+    [
+        ("decide I", "start names vertex 0 again"),
+        ("shortest I", "start names vertex 0 again"),
+        ("decide2 I", "start names vertex 0 again"),
+        ("decide T", "target names vertex 3 again"),
+        ("stats R", "start names vertex {} again"),
+        ("verify G S", "start names vertex 0 again"),
+        ("extract G S", "start names vertex 0 again"),
+    ],
+)
+def test_vertex_lists_name_each_vertex_once(tmp_path, capsys, command, error):
+    # a token list is a set: [0, 0, 2] is no start on three tokens nor on
+    # two, and a reduction instance or a sequence reads it by the same rule
+    path4 = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}
+    reduced = _reduced_instance()
+    first = reduced["start"][0]
+    files = {
+        "I": {"graph": path4, "start": [0, 0, 2], "target": [3, 1], "k": 2},
+        "T": {"graph": path4, "start": [0, 2], "target": [3, 1, 3], "k": 2},
+        "R": {**reduced, "start": [*reduced["start"], first]},
+        "G": reduced if command.startswith("extract") else GOOD_INSTANCE,
+        "S": {"start": [0, 2, 0], "moves": [], "k": 2},
+    }
+    name, *docs = command.split()
+    code = run([name, *(write(tmp_path, f"{d}.json", files[d]) for d in docs)])
+    out, err = capsys.readouterr()
+    assert (code, out, json.loads(err)) == (2, "", {"error": error.format(first)})
+
+
+@pytest.mark.parametrize(
     "formula, error",
     [
         ({"numVars": 3, "clauses": [[-1, -2]]}, "clause '-1 -2' has 2 literals, need 3"),
@@ -779,6 +810,24 @@ GOLDEN_RECOGNIZE = {
     "reduction-k4": "cf61e8c2f32c7810",
 }
 
+# `kjump gen` arguments (after "gen") and the digest of their stdout
+GOLDEN_GEN = {
+    "split --n 5 --seed 0": "358ebd8f6a6bec78",
+    "split --n 5 --seed 0 --with-pair": "f7f72f1afb57d1a9",
+    "split --n 12 --seed 7": "97b21259721d3642",
+    "split --n 12 --seed 7 --with-pair": "8d8dd274a5d2ca74",
+    "split --n 12 --seed 7 --with-pair --max-tokens 5 --k 3": "ab9259bbee2b5fad",
+    "split --n 30 --seed 3": "b1ad29f3fc56ceba",
+    "split --n 30 --seed 3 --with-pair": "78281a1a266ad84a",
+    "connected --n 5 --seed 0": "7f2faa81643e2f7a",
+    "connected --n 5 --seed 0 --with-pair": "78cba75b4f2b7ecc",
+    "connected --n 12 --seed 7": "4e939c22254b61f4",
+    "connected --n 12 --seed 7 --with-pair": "6580a95f731ba212",
+    "connected --n 12 --seed 7 --with-pair --max-tokens 5 --k 3": "6c7ebaa59f739c73",
+    "connected --n 30 --seed 3": "569cefdfa8e15c09",
+    "connected --n 30 --seed 3 --with-pair": "0b66ef89bd65600b",
+}
+
 
 @pytest.mark.parametrize("idx", range(len(GOLDEN_FORMULAS)))
 def test_golden_pipeline_output(tmp_path, idx):
@@ -792,6 +841,11 @@ def test_golden_recognize_output(tmp_path):
         for name, g in golden_graphs().items()
     }
     assert got == GOLDEN_RECOGNIZE
+
+
+def test_golden_gen_output():
+    got = {args: _digest(_stdout(["gen", *args.split()])) for args in GOLDEN_GEN}
+    assert got == GOLDEN_GEN
 
 
 # ---------------------------------------------------------------------------
