@@ -671,7 +671,7 @@ def parse_edgelist(text):
         raise GraphError("missing 'p edge' header")
     if len(edges) != m:
         raise GraphError(f"header promises {m} edges, found {len(edges)}")
-    del masks  # Graph builds its own rows; two copies at once doubled the peak
+    del masks  # Graph builds its own rows; holding both would double the peak
     return Graph(n, edges)
 
 
