@@ -160,7 +160,9 @@ def _cmd_gen(args):
     return engine.instance_to_json(g, s, t, args.k)
 
 
+@functools.cache
 def build_parser():
+    """The parser, built on the first call and reused by every later one."""
     p = argparse.ArgumentParser(prog="kjump")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -228,15 +230,9 @@ def build_parser():
     return p
 
 
-@functools.cache
-def _parser():
-    """The parser, built on the first run and reused by every later one."""
-    return build_parser()
-
-
 def run(argv=None):
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

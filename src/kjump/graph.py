@@ -34,9 +34,9 @@ class Graph:
     The sorted neighbour tuples `adj` and the edge set `edges` are read off
     the masks on first use, one vertex at a time."""
 
-    __slots__ = ("n", "m", "adj_mask", "labels", "_adj", "_edges", "_balls")
+    __slots__ = ("n", "m", "adj_mask", "_adj", "_edges", "_balls")
 
-    def __init__(self, n, edges, labels=None):
+    def __init__(self, n, edges):
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
         self.n = n
@@ -60,7 +60,6 @@ class Graph:
             masks[v] |= 1 << u
         self.m = sum(mask.bit_count() for mask in masks) // 2
         self.adj_mask = tuple(masks)
-        self.labels = dict(labels) if labels else {}
         self._adj = self._edges = None
         self._balls = {}  # k -> per-vertex k-ball masks, see engine._ball_table
 
@@ -508,10 +507,7 @@ def find_peo(g):
 def graph_to_json(g):
     # bit j of adj_mask[u] >> (u + 1) stands for the edge (u, u + 1 + j)
     edges = [[u, u + 1 + j] for u, m in enumerate(g.adj_mask) for j in _bits(m >> u + 1)]
-    out = {"n": g.n, "edges": edges}
-    if g.labels:
-        out["labels"] = {str(k): v for k, v in g.labels.items()}
-    return out
+    return {"n": g.n, "edges": edges}
 
 
 def parse_json(text):
@@ -613,10 +609,10 @@ def json_pairs(data, what):
 
 def graph_from_json(data):
     json_object(data, "graph", ("n", "edges"))
-    # Graph checks the count and each pair before a label key is read
+    # Graph checks the edges before a label key is read; no label is kept
     g = Graph(json_int(data["n"], "vertex count"), json_list(data["edges"], "edges"))
     if "labels" in data:
-        g.labels = json_vertex_keys(data["labels"], g.n, "labels")
+        json_vertex_keys(data["labels"], g.n, "labels")
     return g
 
 

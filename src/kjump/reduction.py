@@ -172,6 +172,9 @@ def build_instance(phi, k):
     clause_base = [i * (2 * k + 3) for i in range(m)]
     var_base = [m * (2 * k + 3) + j * (k + 2) for j in range(n)]
 
+    # K = {k_0, k_1 (= v_k), k_2 over all clauses} forms a clique. Its pairs
+    # stream into Graph before the clause-variable edges widen its masks.
+    kvs = []
     for i in range(m):
         base = clause_base[i]
         for j in range(2 * k + 1):
@@ -183,13 +186,8 @@ def build_instance(phi, k):
         for kx in (base + 2 * k + 1, base + 2 * k + 2):
             add((kx, base + k - 1))
             add((kx, base + k + 1))
-
-    # K = {k_0, k_1 (= v_k), k_2 over all clauses} forms a clique. Its pairs
-    # stream into Graph before the clause-variable edges widen its masks.
-    kvs = []
-    for i in range(m):
-        base = clause_base[i]
         kvs.extend([base + 2 * k + 1, base + k, base + 2 * k + 2])
+
     rest = []
     add = rest.append
 
@@ -205,8 +203,7 @@ def build_instance(phi, k):
         add((base + k + 1, base))
 
     for i, clause in enumerate(phi.clauses):
-        base = clause_base[i]
-        rho = [base + 2 * k + 1, base + k, base + 2 * k + 2]
+        rho = kvs[3 * i:3 * i + 3]
         for pos, (var, positive) in enumerate(clause):
             vb = var_base[var]
             s_vertex = vb + k if positive else vb + k + 1
@@ -214,7 +211,7 @@ def build_instance(phi, k):
             add((vb, rho[pos]))  # t_0 = u_0
 
     total = m * (2 * k + 3) + n * (k + 2)
-    g = Graph(total, chain(clause_edges, combinations(kvs, 2), rest), labels)
+    g = Graph(total, chain(clause_edges, combinations(kvs, 2), rest))
     start = frozenset(
         [clause_base[i] for i in range(m)]
         + [var_base[j] + k for j in range(n)]
@@ -319,8 +316,12 @@ def instance_stats(inst):
 
 
 def instance_to_json(inst):
-    return engine.instance_to_json(inst.graph, inst.start, inst.target, inst.k) | {
-        "labelMap": {str(v): lab for v, lab in inst.label_map.items()},
+    out = engine.instance_to_json(inst.graph, inst.start, inst.target, inst.k)
+    labels = {str(v): lab for v, lab in inst.label_map.items()}
+    if labels:  # the graph document repeats them, in a dict of its own
+        out["graph"]["labels"] = dict(labels)
+    return out | {
+        "labelMap": labels,
         "formula": {
             "numVars": inst.formula.num_vars,
             "clauses": [

@@ -495,8 +495,10 @@ def test_label_keys_name_each_vertex_once(tmp_path, capsys):
 
 def test_label_key_takes_the_integer_field_rule():
     # "+1" names vertex 1, as "+3" reads as 3 in a DIMACS file
-    doc = {"n": 2, "edges": [], "labels": {"+1": "x", "0": "y"}}
-    assert kjump.graph.parse_graph(json.dumps(doc)).labels == {1: "x", 0: "y"}
+    doc = _reduced_instance()
+    doc["labelMap"]["+1"] = doc["labelMap"].pop("1")
+    inst = reduction.instance_from_json(json.loads(json.dumps(doc)))
+    assert inst.label_map[1] == "v:0:1" and inst.v(0, 1) == 1
 
 
 @pytest.mark.parametrize(
@@ -848,6 +850,20 @@ def test_golden_gen_output():
     assert got == GOLDEN_GEN
 
 
+def test_reduce_without_clauses(tmp_path):
+    # the graph document repeats labelMap as its labels only when there are
+    # labels: no gadget at all writes no labels key
+    empty = _stdout(["reduce", write(tmp_path, "0.cnf", "p cnf 0 0\n"), "--k", "3"])
+    assert empty == (
+        '{"formula": {"clauses": [], "numVars": 0}, "graph": {"edges": [], "n": 0},'
+        ' "k": 3, "labelMap": {}, "start": [], "target": []}\n'
+    )
+    out = _stdout(["reduce", write(tmp_path, "2.cnf", "p cnf 2 0\n"), "--k", "3"])
+    doc = json.loads(out)
+    assert len(doc["labelMap"]) == 10 and doc["graph"]["labels"] == doc["labelMap"]
+    assert _digest(out) == "34d4d4df41d2aecc"
+
+
 # ---------------------------------------------------------------------------
 # fuzzed JSON input: any document in any file slot ends with exit 0, 2 or 3
 # and JSON on stderr, never a traceback
@@ -953,11 +969,91 @@ def test_fuzzed_json_input_exits_cleanly(data):
             with open(path, "w") as fh:
                 json.dump(doc, fh)
             files.append(path)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run([command, *files, *extra])
+        _assert_exits_cleanly([command, *files, *extra])
+
+
+def _assert_exits_cleanly(argv):
+    """Run argv in-process: it exits 0, 2 or 3, every stderr line is JSON,
+    and so is stdout after exit 0."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
     assert code in (0, 2, 3)
     for line in err.getvalue().splitlines():
         json.loads(line)
     if code == 0:
         json.loads(out.getvalue())
+
+
+# ---------------------------------------------------------------------------
+# fuzzed text input: edge lists and E3-CNF files with lines dropped,
+# duplicated or swapped and tokens deleted, inserted or replaced end the
+# same way
+
+# No count above 1,000 reaches a CNF header, and no --k above 5:
+# build_instance makes lists as long as the variable count before any mask
+# exists, so a header of 2**63 variables would fill the machine's memory
+# before anything refuses it. A vertex count of 2**63 or 2**64 exits 3 at
+# once, in zero_masks.
+_TEXT_TOKENS = ("0", "1", "3", "-1", "+3", "1_0", "\uff13", "x", "p", "e", "c", "%", "1000")
+_EDGELIST_TOKENS = _TEXT_TOKENS + (str(2**63), str(2**64))
+_FUZZ_EDGELIST = "c the path of GOOD_GRAPH\np edge 3 2\ne 1 2\ne 2 3\n"
+_FUZZ_CNF = "c planted: 100\np cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n"
+
+
+@st.composite
+def _mutated_text(draw, base, tokens):
+    """base with one to three edits, each to a line: drop it, duplicate it,
+    swap it with another, or delete, insert or replace one of its tokens,
+    a new token coming from tokens. A deletion past the last token of its
+    line deletes nothing, and a replacement there appends."""
+    lines = [line.split() for line in base.splitlines()]
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        if not lines:
+            break
+        i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "dup", "swap", "delete", "insert", "replace"]))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "dup":
+            lines.insert(i, list(lines[i]))
+        elif edit == "swap":
+            j = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            line = lines[i]
+            j = draw(st.integers(min_value=0, max_value=len(line)))
+            if edit != "insert" and j < len(line):
+                del line[j]
+            if edit != "delete":
+                line.insert(j, draw(st.sampled_from(tokens)))
+    return "".join(" ".join(line) + "\n" for line in lines)
+
+
+# (argv with T for the fuzzed text file and S for GOOD_SEQUENCE, the base
+# text, its replacement tokens, strategy for the other arguments)
+_TEXT_FUZZ_COMMANDS = [
+    (["recognize", "T", "--format", "edgelist"], _FUZZ_EDGELIST, _EDGELIST_TOKENS, st.just([])),
+    (
+        ["simulate", "T", "S", "--format", "edgelist"],
+        _FUZZ_EDGELIST,
+        _EDGELIST_TOKENS,
+        _fuzz_k,
+    ),
+    (["reduce", "T"], _FUZZ_CNF, _TEXT_TOKENS, _fuzz_k),
+]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_fuzzed_text_input_exits_cleanly(data):
+    argv, base, tokens, args = data.draw(st.sampled_from(_TEXT_FUZZ_COMMANDS))
+    text = data.draw(_mutated_text(base, tokens))
+    extra = data.draw(args)
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"T": os.path.join(tmp, "input.txt"), "S": os.path.join(tmp, "s.json")}
+        with open(files["T"], "w") as fh:
+            fh.write(text)
+        with open(files["S"], "w") as fh:
+            json.dump(GOOD_SEQUENCE, fh)
+        _assert_exits_cleanly([files.get(a, a) for a in argv] + extra)
