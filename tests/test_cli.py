@@ -1034,12 +1034,7 @@ def _mutated_text(draw, base, tokens):
 # text, its replacement tokens, strategy for the other arguments)
 _TEXT_FUZZ_COMMANDS = [
     (["recognize", "T", "--format", "edgelist"], _FUZZ_EDGELIST, _EDGELIST_TOKENS, st.just([])),
-    (
-        ["simulate", "T", "S", "--format", "edgelist"],
-        _FUZZ_EDGELIST,
-        _EDGELIST_TOKENS,
-        _fuzz_k,
-    ),
+    (["simulate", "T", "S", "--format", "edgelist"], _FUZZ_EDGELIST, _EDGELIST_TOKENS, _fuzz_k),
     (["reduce", "T"], _FUZZ_CNF, _TEXT_TOKENS, _fuzz_k),
 ]
 

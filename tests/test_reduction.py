@@ -298,6 +298,16 @@ def test_extraction_rejects_wrong_endpoints():
         sequence_to_assignment(inst, truncated)
 
 
+def test_extraction_rejects_an_invalid_move():
+    # the first move turned round starts from a vertex without a token
+    inst = build_instance(PHI1, 3)
+    seq = assignment_to_sequence(inst, (True, False, False))
+    src, dst = seq.moves[0]
+    bad = MoveSequence(seq.start, (Move(dst, src),) + seq.moves[1:], 3)
+    with pytest.raises(GraphError, match="invalid sequence at step 0"):
+        sequence_to_assignment(inst, bad)
+
+
 def test_oracle_shortest_extracts_satisfying_assignment():
     phi = CnfFormula(2, (((0, True), (1, False), (0, True)),))
     inst = build_instance(phi, 3)
