@@ -156,6 +156,7 @@ def _cmd_gen(args):
     g = gen(args.n, rng)
     if not args.with_pair:
         return {"graph": graph_to_json(g)}
+    engine._check_k(args.k)  # the instance's readers refuse k < 1
     s, t = random_pair(g, rng, max_size=args.max_tokens)
     return engine.instance_to_json(g, s, t, args.k)
 

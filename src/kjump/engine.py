@@ -379,20 +379,21 @@ def exists_within(g, s, t, k, budget, max_states=DEFAULT_STATE_CAP):
 def _move_error(g, cur, src, dst, k):
     """Why the k-Jump move src -> dst from the independent state mask cur is
     illegal, or None: src must hold a token, dst be free, the pair test
-    dist(src, dst) <= k pass (which caches nothing; only a failing move runs
-    the full `dist`, to name the distance), and N(dst) miss the tokens other
-    than src. GraphError names a dst out of range."""
+    dist(src, dst) <= k pass, and N(dst) miss the tokens other than src.
+    One `dist` call, which caches nothing, tests the pair and names the
+    distance of a failing move: its search stops where its two sides meet,
+    so a move within k costs what a test limited to k does. GraphError
+    names a dst out of range."""
     if src == dst:
         return f"null move at {src}"
     if src < 0 or not cur >> src & 1:
         return f"no token on {src}"
     if dst >= 0 and cur >> dst & 1:
         return f"vertex {dst} already occupied"
-    # raises GraphError for dst out of range
-    if dist(g, src, dst, k) is None:
-        d = dist(g, src, dst)
-        if d is None:
-            return f"{src} cannot reach {dst}"
+    d = dist(g, src, dst)  # raises GraphError for dst out of range
+    if d is None:
+        return f"{src} cannot reach {dst}"
+    if d > k:
         return f"distance {d} exceeds bound {k}"
     if g.adj_mask[dst] & cur & ~(1 << src):
         return f"set not independent after moving {src} to {dst}"

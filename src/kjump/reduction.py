@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 
 from . import engine
 from .graph import (
@@ -165,63 +165,55 @@ def build_instance(phi, k):
     if k < 3:
         raise GraphError("reduction requires k >= 3")
     m, n = len(phi.clauses), phi.num_vars
+    # the m clause gadgets of 2k + 3 vertices each, then the n variable
+    # gadgets of k + 2; each range holds its gadgets' first vertices
+    clause_start = range(0, m * (2 * k + 3), 2 * k + 3)
+    var_start = range(clause_start.stop, clause_start.stop + n * (k + 2), k + 2)
+    # K = {k_0, k_1 (= v_k), k_2 over all clauses} forms a clique
+    kvs = [x for b in clause_start for x in (b + 2 * k + 1, b + k, b + 2 * k + 2)]
+
+    def edges():
+        # each edge once; the clique's pairs stream into Graph before the
+        # clause-variable edges widen its masks
+        for b in clause_start:
+            for j in range(2 * k):
+                yield b + j, b + j + 1
+            for kx in (b + 2 * k + 1, b + 2 * k + 2):
+                yield kx, b + k - 1
+                yield kx, b + k + 1
+        yield from combinations(kvs, 2)
+        for b in var_start:
+            for x in range(k - 1):
+                yield b + x, b + x + 1
+            yield b + k, b
+            yield b + k + 1, b
+        for i, clause in enumerate(phi.clauses):
+            rho = kvs[3 * i:3 * i + 3]
+            for pos, (var, positive) in enumerate(clause):
+                vb = var_start[var]
+                yield (vb + k if positive else vb + k + 1), rho[pos]
+                yield vb, rho[pos]  # t_0 = u_0
+
+    # the masks are the first list as long as the vertex count, so a count
+    # past the index range is refused before anything else is built
+    g = Graph(var_start.stop, edges())
     labels = {}
-    clause_edges = []  # the construction makes each edge once
-    add = clause_edges.append
-
-    clause_base = [i * (2 * k + 3) for i in range(m)]
-    var_base = [m * (2 * k + 3) + j * (k + 2) for j in range(n)]
-
-    # K = {k_0, k_1 (= v_k), k_2 over all clauses} forms a clique. Its pairs
-    # stream into Graph before the clause-variable edges widen its masks.
-    kvs = []
-    for i in range(m):
-        base = clause_base[i]
+    for i, b in enumerate(clause_start):
         for j in range(2 * k + 1):
-            labels[base + j] = f"v:{i}:{j}"
-        labels[base + 2 * k + 1] = f"k:{i}:0"
-        labels[base + 2 * k + 2] = f"k:{i}:2"
-        for j in range(2 * k):
-            add((base + j, base + j + 1))
-        for kx in (base + 2 * k + 1, base + 2 * k + 2):
-            add((kx, base + k - 1))
-            add((kx, base + k + 1))
-        kvs.extend([base + 2 * k + 1, base + k, base + 2 * k + 2])
-
-    rest = []
-    add = rest.append
-
-    for j in range(n):
-        base = var_base[j]
+            labels[b + j] = f"v:{i}:{j}"
+        labels[b + 2 * k + 1] = f"k:{i}:0"
+        labels[b + 2 * k + 2] = f"k:{i}:2"
+    for j, b in enumerate(var_start):
         for x in range(k):
-            labels[base + x] = f"u:{j}:{x}"
-        labels[base + k] = f"s:{j}:0"
-        labels[base + k + 1] = f"s:{j}:1"
-        for x in range(k - 1):
-            add((base + x, base + x + 1))
-        add((base + k, base))
-        add((base + k + 1, base))
-
-    for i, clause in enumerate(phi.clauses):
-        rho = kvs[3 * i:3 * i + 3]
-        for pos, (var, positive) in enumerate(clause):
-            vb = var_base[var]
-            s_vertex = vb + k if positive else vb + k + 1
-            add((s_vertex, rho[pos]))
-            add((vb, rho[pos]))  # t_0 = u_0
-
-    total = m * (2 * k + 3) + n * (k + 2)
-    g = Graph(total, chain(clause_edges, combinations(kvs, 2), rest))
-    start = frozenset(
-        [clause_base[i] for i in range(m)]
-        + [var_base[j] + k for j in range(n)]
-        + [var_base[j] + k + 1 for j in range(n)]
-    )
-    target = frozenset(
-        [clause_base[i] + 2 * k for i in range(m)]
-        + [var_base[j] for j in range(n)]
-        + [var_base[j] + k - 1 for j in range(n)]
-    )
+            labels[b + x] = f"u:{j}:{x}"
+        labels[b + k] = f"s:{j}:0"
+        labels[b + k + 1] = f"s:{j}:1"
+    start = frozenset([
+        *clause_start, *(b + k for b in var_start), *(b + k + 1 for b in var_start)
+    ])
+    target = frozenset([
+        *(b + 2 * k for b in clause_start), *var_start, *(b + k - 1 for b in var_start)
+    ])
     return ReductionInstance(g, k, start, target, labels, phi)
 
 

@@ -179,6 +179,17 @@ def test_vertex_count_past_index_range_is_exit_three(tmp_path, capsys, n, fmt):
     assert json.loads(err) == {"error": error}
 
 
+def test_reduce_vertex_count_past_index_range_is_exit_three(tmp_path, capsys):
+    # the masks are build_instance's first list as long as the vertex count,
+    # so 2**63 variables at k = 3 are refused before anything else is built
+    cnf = write(tmp_path, "big.cnf", f"p cnf {2**63} 1\n1 2 3 0\n")
+    code = run(["reduce", cnf, "--k", "3"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    error = f"vertex count {9 + 5 * 2**63} is past the machine's index range"
+    assert json.loads(err) == {"error": error}
+
+
 def test_decide_and_shortest(tmp_path, capsys):
     g = path_graph(4)
     inst = instance_file(tmp_path, g, {0}, {3}, 2)
@@ -342,6 +353,16 @@ def test_gen_needs_a_vertex(capsys, kind, n):
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err) == {"error": f"--n must be positive, got {n}"}
+
+
+@pytest.mark.parametrize("k", ["-1", "0"])
+def test_gen_with_pair_needs_k_of_at_least_one(capsys, k):
+    # decide, shortest and every other reader refuse an instance at k < 1,
+    # so gen writes none
+    assert run(["gen", "split", "--n", "5", "--with-pair", "--k", k]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": f"jump distance k must be at least 1, got {k}"}
 
 
 def test_usage_and_input_errors(tmp_path, capsys):
@@ -990,13 +1011,15 @@ def _assert_exits_cleanly(argv):
 # duplicated or swapped and tokens deleted, inserted or replaced end the
 # same way
 
-# No count above 1,000 reaches a CNF header, and no --k above 5:
-# build_instance makes lists as long as the variable count before any mask
-# exists, so a header of 2**63 variables would fill the machine's memory
-# before anything refuses it. A vertex count of 2**63 or 2**64 exits 3 at
-# once, in zero_masks.
-_TEXT_TOKENS = ("0", "1", "3", "-1", "+3", "1_0", "\uff13", "x", "p", "e", "c", "%", "1000")
-_EDGELIST_TOKENS = _TEXT_TOKENS + (str(2**63), str(2**64))
+# A count of 2**63 or 2**64 exits 3 at once, in zero_masks, whether an edge
+# list's vertex count or a CNF header's variable count. Only mid-size counts
+# stay out, since a header of 10**8 variables allocates a multi-GB mask list
+# first, and so does --k above 5: a large k builds long paths, whose masks
+# grow with the square of the path length.
+_TEXT_TOKENS = (
+    "0", "1", "3", "-1", "+3", "1_0", "\uff13", "x", "p", "e", "c", "%", "1000",
+    str(2**63), str(2**64),
+)
 _FUZZ_EDGELIST = "c the path of GOOD_GRAPH\np edge 3 2\ne 1 2\ne 2 3\n"
 _FUZZ_CNF = "c planted: 100\np cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n"
 
@@ -1033,8 +1056,8 @@ def _mutated_text(draw, base, tokens):
 # (argv with T for the fuzzed text file and S for GOOD_SEQUENCE, the base
 # text, its replacement tokens, strategy for the other arguments)
 _TEXT_FUZZ_COMMANDS = [
-    (["recognize", "T", "--format", "edgelist"], _FUZZ_EDGELIST, _EDGELIST_TOKENS, st.just([])),
-    (["simulate", "T", "S", "--format", "edgelist"], _FUZZ_EDGELIST, _EDGELIST_TOKENS, _fuzz_k),
+    (["recognize", "T", "--format", "edgelist"], _FUZZ_EDGELIST, _TEXT_TOKENS, st.just([])),
+    (["simulate", "T", "S", "--format", "edgelist"], _FUZZ_EDGELIST, _TEXT_TOKENS, _fuzz_k),
     (["reduce", "T"], _FUZZ_CNF, _TEXT_TOKENS, _fuzz_k),
 ]
 

@@ -344,9 +344,8 @@ def test_validate_vertex_out_of_range():
 
 
 def test_validate_runs_one_pair_test_per_move(monkeypatch):
-    # Every passing move costs one limited pair test dist(src, dst, k),
-    # whether or not the graph has k-balls cached; only a failing move runs
-    # the full dist, to name the distance.
+    # Every move costs one pair test dist(src, dst), whether or not the
+    # graph has k-balls cached; a failing move reads its distance off it.
     g = path_graph(30)
     s = seq({0, 10}, [(0, 3), (10, 13), (3, 6)], 3)
     calls = []
@@ -356,7 +355,7 @@ def test_validate_runs_one_pair_test_per_move(monkeypatch):
         return dist(*args)
 
     monkeypatch.setattr(engine, "dist", counting_dist)
-    pair_tests = [(g, 0, 3, 3), (g, 10, 13, 3), (g, 3, 6, 3)]
+    pair_tests = [(g, 0, 3), (g, 10, 13), (g, 3, 6)]
     assert validate_sequence(g, s)
     assert calls == pair_tests
     successors(g, {0, 10, 3}, 3)  # a search fills the k-balls of the movers
@@ -366,7 +365,7 @@ def test_validate_runs_one_pair_test_per_move(monkeypatch):
     calls.clear()
     report = validate_sequence(g, seq({0}, [(0, 4)], 3))
     assert report.reason == "distance 4 exceeds bound 3"
-    assert calls == [(g, 0, 4, 3), (g, 0, 4)]
+    assert calls == [(g, 0, 4)]
 
 
 def test_validate_uses_sequence_k_by_default():
