@@ -1011,10 +1011,10 @@ def _assert_exits_cleanly(argv):
 # duplicated or swapped and tokens deleted, inserted or replaced end the
 # same way
 
-# A count of 2**63 or 2**64 exits 3 at once, in zero_masks, whether an edge
-# list's vertex count or a CNF header's variable count. Only mid-size counts
-# stay out, since a header of 10**8 variables allocates a multi-GB mask list
-# first, and so does --k above 5: a large k builds long paths, whose masks
+# A count of 2**63 or 2**64 exits 3 at once, in zero_masks, whether it is an
+# edge list's vertex count or a CNF header's variable count. Only mid-size
+# counts stay out: a header of 10**8 variables allocates a multi-GB mask list
+# first. --k stays at 5 or below: a large k builds long paths, whose masks
 # grow with the square of the path length.
 _TEXT_TOKENS = (
     "0", "1", "3", "-1", "+3", "1_0", "\uff13", "x", "p", "e", "c", "%", "1000",
