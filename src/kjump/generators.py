@@ -91,20 +91,52 @@ def _skip_shuffles(rng, n, tries):
     rng.getrandbits(32 * m.end())
 
 
+#: Failed tries after which `random_independent_set` computes the
+#: independence number exactly, on graphs of at most `ALPHA_MAX_N` vertices
+#: (criterion 3 draws at most 14), where the branch and bound is cheap.
+ALPHA_AFTER = 20
+ALPHA_MAX_N = 16
+
+
+def _independence_number(g):
+    """The size of a maximum independent set, by a mask branch and bound:
+    the lowest candidate vertex is taken (dropping its neighbours) or left,
+    and a branch whose set plus all its candidates cannot beat the best is
+    cut."""
+    adj = g.adj_mask
+    best = 0
+    stack = [((1 << g.n) - 1, 0)]
+    while stack:
+        cand, size = stack.pop()
+        if size + cand.bit_count() <= best:
+            continue
+        if not cand:
+            best = size
+            continue
+        low = cand & -cand
+        stack.append((cand ^ low, size))
+        stack.append((cand & ~(adj[low.bit_length() - 1] | low), size + 1))
+    return best
+
+
 def random_independent_set(g, size, rng, tries=2000):
     """A uniform-ish independent set of the requested size, or None: the
     greedy set of each of `tries` shuffles, until one reaches `size`.
 
-    When size exceeds a clique cover, and so the independence number, every
-    try fails; the random stream still advances as if the shuffles had been
-    tried, fast-forwarded for a plain `random.Random`."""
+    When size exceeds the independence number every try fails; the random
+    stream still advances as if the shuffles had been tried, fast-forwarded
+    for a plain `random.Random`. The test is a clique cover, an upper bound
+    on the independence number, before the first try, and the exact number
+    after `ALPHA_AFTER` failed tries on a small graph."""
     adj = g.adj_mask
     verts = list(range(g.n))
     hopeless = size > _clique_cover_size(g)
-    if hopeless and type(rng) is random.Random and g.n < 256:
-        _skip_shuffles(rng, g.n, tries)
-        return None
-    for _ in range(tries):
+    for done in range(tries):
+        if done == ALPHA_AFTER and not hopeless and g.n <= ALPHA_MAX_N:
+            hopeless = size > _independence_number(g)
+        if hopeless and type(rng) is random.Random and g.n < 256:
+            _skip_shuffles(rng, g.n, tries - done)
+            return None
         rng.shuffle(verts)
         if hopeless:
             continue

@@ -7,6 +7,18 @@ and finish with one jump; otherwise some token sits on w or a neighbor u' of
 w, and that token jumps to v (within distance k) before the original token
 continues into u'.
 
+The shortest path is the one a queue BFS from u gives when each vertex
+discovers its unseen neighbours in ascending order and keeps its first
+discoverer, so a vertex's parent is the first queued of its neighbours one
+level down. It is read off the BFS levels from u, held as masks (L_0 = {u},
+L_{j+1} = N(L_j) & unseen), with no queue. For x at depth d let X_d = {x}
+and X_j = N(X_{j+1}) & L_j. Each vertex of X_j has its parent in X_{j-1},
+and a vertex of X_j queues before another when its parent does, or when
+they share a parent and its id is lower. So the first queued vertex of X_j
+is the lowest one adjacent to the first queued vertex of X_{j-1}, and its
+parent is that vertex: from X_0 = {u} up, the first queued vertices of the
+X_j are x's ancestors.
+
 Each generated move is checked once, as `_emit` appends it, against one
 running state mask, by the validator's own move check `_move_error`; the
 input sequence is validated on entry, so the output is a valid k-Jump
@@ -15,8 +27,6 @@ dist(u, v) <= k too, so the compiler keeps nothing on the graph.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .graph import GraphError, dist
 from .engine import Move, MoveSequence, _move_error, _to_mask, validate_sequence
@@ -37,51 +47,92 @@ def _step(g, cur, u, v, k, out):
     w -> v, so that final jump waits on a stack while the token travels; the
     blocked case hands the rest of the trip (u -> u') over to the loop.
 
-    u stays fixed, so every iteration reads its shortest u-v path from one
-    BFS parent tree rooted at u, grown only until the current v is
-    discovered. A vertex x discovers the bits of adj[x] & unseen in
-    ascending order and each vertex keeps its first discoverer, so a parent
-    never depends on where the BFS stops, and the path is the one a fresh
-    BFS from u to v would give; w is the (k-1)-th ancestor of v on it. A
-    vertex the tree holds has its depth there as its distance from u, so
-    only a v outside it takes the pair test dist(u, v) <= k."""
-    adj = g.adj_mask
-    parent = {u: u}
-    depth = {u: 0}
-    queue = deque([u])
-    unseen = ((1 << g.n) - 1) ^ (1 << u)
+    u stays fixed, so every iteration reads its path off one list of
+    levels from u, grown until v is discovered; only a v outside them takes
+    the pair test dist(u, v) <= k. Parents are kept for chain vertices
+    only, each chain read down to a vertex whose parent is known (see
+    `_read_chain`), so a blocked case's u' descends only until it meets a
+    chain read before. A level of one vertex lies on every path, so while
+    the levels from u have one vertex each, their parents are kept as they
+    grow. w is the (k-1)-th ancestor of v."""
     pending = []  # final jumps (w, v), the innermost last
-    while depth[v] > k if v in depth else dist(g, u, v, k) is None:
-        while v not in parent:
-            x = queue.popleft()
-            new = adj[x] & unseen
-            if new:
-                unseen ^= new
-            dy = depth[x] + 1
-            while new:
-                low = new & -new
-                y = low.bit_length() - 1
-                parent[y] = x
-                depth[y] = dy
-                queue.append(y)
-                new ^= low
-        w = v
-        for _ in range(k - 1):
-            w = parent[w]
-        occupied = cur >> w & 1
-        near = adj[w] & cur
-        if not occupied and not near:
-            pending.append((w, v))
-            v = w
-            continue
-        # Prefer the token on w itself, else the lowest-id occupied neighbor.
-        uprime = w if occupied else (near & -near).bit_length() - 1
-        cur = _emit(g, cur, uprime, v, k, out)
-        v = uprime
+    if dist(g, u, v, k) is None:
+        adj = g.adj_mask
+        parent = {u: u}
+        levels = [1 << u]
+        unseen = ((1 << g.n) - 1) ^ (1 << u)
+        lone = u  # the vertex of the last level if it has no other, else -1
+        while unseen >> v & 1:
+            if lone < 0:
+                new = 0
+                front = levels[-1]
+                while front:
+                    low = front & -front
+                    new |= adj[low.bit_length() - 1]
+                    front ^= low
+                new &= unseen
+            else:
+                new = adj[lone] & unseen
+            unseen ^= new
+            levels.append(new)
+            y = -1 if new & (new - 1) else new.bit_length() - 1
+            if y >= 0 and lone in parent:
+                parent[y] = lone
+            lone = y
+        d = len(levels) - 1  # the depth of v
+        while d > k:
+            if v not in parent:
+                _read_chain(adj, levels, parent, v, d)
+            w = v
+            for _ in range(k - 1):
+                w = parent[w]
+            dw = d - k + 1
+            occupied = cur >> w & 1
+            near = adj[w] & cur
+            if not occupied and not near:
+                pending.append((w, v))
+                v, d = w, dw
+                continue
+            # Prefer the token on w itself, else the lowest-id occupied neighbor.
+            if occupied:
+                uprime = w
+            else:
+                uprime = (near & -near).bit_length() - 1
+                if levels[dw - 1] >> uprime & 1:
+                    dw -= 1
+                elif not levels[dw] >> uprime & 1:
+                    dw += 1
+            cur = _emit(g, cur, uprime, v, k, out)
+            v, d = uprime, dw
     cur = _emit(g, cur, u, v, k, out)
     while pending:
         cur = _emit(g, cur, *pending.pop(), k, out)
     return cur
+
+
+def _read_chain(adj, levels, parent, x, d):
+    """Record in parent the BFS parents of x at depth d and of its ancestors
+    down to the first one whose parent is known, where every ancestor's is:
+    the candidate sets X_j (module docstring) are built down to a single
+    known vertex y, then each ancestor is the lowest vertex of its set
+    adjacent to the one below."""
+    sets = []  # X_d, X_{d-1}, ... above the known vertex y
+    y, cand = x, 1 << x
+    while y not in parent:
+        sets.append(cand)
+        near = 0
+        while cand:
+            low = cand & -cand
+            near |= adj[low.bit_length() - 1]
+            cand ^= low
+        d -= 1
+        cand = near & levels[d]
+        y = -1 if cand & (cand - 1) else cand.bit_length() - 1
+    for cand in reversed(sets):
+        cand &= adj[y]
+        x = (cand & -cand).bit_length() - 1
+        parent[x] = y
+        y = x
 
 
 def _emit(g, cur, src, dst, k, out):

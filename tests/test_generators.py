@@ -11,8 +11,11 @@ import time
 import pytest
 
 from kjump import cli
+from kjump import generators
 from kjump.generators import (
+    ALPHA_AFTER,
     _clique_cover_size,
+    _independence_number,
     _skip_shuffles,
     random_connected_graph,
     random_independent_set,
@@ -21,7 +24,7 @@ from kjump.generators import (
 )
 from kjump.graph import Graph, graph_to_json, is_connected
 
-from conftest import atlas_graphs, complete_graph, independent_sets
+from conftest import atlas_graphs, complete_graph, cycle_graph, independent_sets
 
 
 def _sha(text):
@@ -130,6 +133,37 @@ def test_clique_cover_bounds_independence_number():
     for g in atlas_graphs(7):
         alpha = max(len(c) for c in independent_sets(g))
         assert alpha <= _clique_cover_size(g) <= g.n
+
+
+def test_independence_number_is_exact():
+    for g in atlas_graphs(7):
+        assert _independence_number(g) == max(len(c) for c in independent_sets(g))
+
+
+def test_sizes_above_the_independence_number_skip_after_a_few_tries(monkeypatch):
+    # C5's greedy clique cover has 3 cliques and its independence number is
+    # 2: size 3 passes the cover test and fails every try, so after
+    # ALPHA_AFTER real tries the exact test hands the rest to the
+    # fast-forward, which leaves the state the shuffles would.
+    class Shuffling(random.Random):
+        pass
+
+    skips = []
+    skip = generators._skip_shuffles
+
+    def counted(rng, n, tries):
+        skips.append((n, tries))
+        skip(rng, n, tries)
+
+    monkeypatch.setattr(generators, "_skip_shuffles", counted)
+    g = cycle_graph(5)
+    assert (_clique_cover_size(g), _independence_number(g)) == (3, 2)
+    for seed in range(5):
+        fast, real = random.Random(seed), Shuffling(seed)
+        assert random_independent_set(g, 3, fast) is None
+        assert random_independent_set(g, 3, real) is None
+        assert fast.getstate() == real.getstate(), seed
+    assert skips == [(5, 2000 - ALPHA_AFTER)] * 5
 
 
 def test_small_connected_graphs_are_unchanged():

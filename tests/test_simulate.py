@@ -5,7 +5,7 @@ import pytest
 
 from kjump import engine, simulate
 from kjump.engine import Move, MoveSequence, _ball, _to_mask, validate_sequence
-from kjump.generators import random_independent_set
+from kjump.generators import random_connected_graph, random_independent_set
 from kjump.graph import GraphError, build_graph, diameter, dist, is_independent
 from kjump.reduction import build_instance
 from kjump.simulate import SimulationError, _emit, simulate_move, simulate_sequence
@@ -220,6 +220,92 @@ def test_long_path_jump_scales_linearly():
     out = simulate_move(g, {0}, 0, n - 1, 3)
     elapsed = time.process_time() - t0
     assert len(out) == (n - 1) // 2 and out.final() == {n - 1}
+    assert elapsed < 3.0
+
+
+def _bfs_row(g, u):
+    """BFS distances from u, as a dict over the vertices u reaches."""
+    row = {u: 0}
+    order = [u]
+    for w in order:
+        for x in g.adj[w]:
+            if x not in row:
+                row[x] = row[w] + 1
+                order.append(x)
+    return row
+
+
+def _crowded_jumps(g, base, rng, count, k):
+    """Up to `count` seeded (c, u, v): c is base plus random tokens, one
+    try per eighth of the vertices, kept where c stays independent; u is in
+    c, v is free at distance above k, and c - {u} | {v} is independent."""
+    jumps = []
+    for _ in range(count):
+        c = set(base)
+        for x in rng.sample(range(g.n), g.n // 8):
+            if is_independent(g, c | {x}):
+                c.add(x)
+        u = rng.choice(sorted(c))
+        row = _bfs_row(g, u)
+        far = [
+            v for v in range(g.n)
+            if v not in c and row.get(v, 0) > k
+            and is_independent(g, c - {u} | {v})
+        ]
+        if far:
+            jumps.append((frozenset(c), u, rng.choice(far)))
+    return jumps
+
+
+def test_blocked_cases_off_the_path_match_per_iteration_paths():
+    # Crowded configurations on reduction instances at k = 4..7 and on
+    # random connected graphs fire blocked cases whose token u' is a
+    # neighbour of w off the current shortest path, one level above, on or
+    # below w's level; such a u' has no known parent and its chain is read
+    # down until it meets a known one. The moves before the first one
+    # from u are the blocked cases' jumps u' -> v.
+    rng = random.Random(25)
+    formulas = exhaustive_e3_formulas()
+    cases = []
+    for k in (4, 5, 6, 7) * 2:
+        inst = build_instance(rng.choice(formulas), k)
+        cases.append((inst.graph, inst.start))
+    for n in (30, 60, 120, 200) * 2:
+        cases.append((random_connected_graph(n, rng), ()))
+    checked = off_path = below = 0
+    shifts = {-1: 0, 0: 0, 1: 0}  # u' other than w, by its level minus w's
+    for g, base in cases:
+        for c, u, v in _crowded_jumps(g, base, rng, 30, 3):
+            want = _reference_moves(g, c, u, v, 3)
+            assert simulate_move(g, c, u, v, 3).moves == want
+            checked += 1
+            row = _bfs_row(g, u)
+            for uprime, target in want:
+                if uprime == u:
+                    break
+                path = naive_shortest_path(g, u, target)
+                w = path[len(path) - 3]
+                if uprime != w:
+                    shifts[row[uprime] - row[w]] += 1
+                    off_path += uprime not in path
+                    below += uprime not in path and row[uprime] > row[w]
+    assert checked >= 400, checked
+    assert off_path >= 200 and below >= 100, (off_path, below)
+    assert min(shifts.values()) >= 15, shifts
+
+
+def test_blocked_long_path_jump_scales_linearly():
+    # a token on every 7th vertex of a long path blocks about every other
+    # iteration of 0 -> n-1; each blocked case's u' is on the path, so its
+    # chain is known and it descends no further
+    n = 10_000
+    g = path_graph(n)
+    c = set(range(0, n, 7))
+    t0 = time.process_time()
+    out = simulate_move(g, c, 0, n - 1, 3)
+    elapsed = time.process_time() - t0
+    assert out.final() == c - {0} | {n - 1}
+    assert validate_sequence(g, out, 3)
     assert elapsed < 3.0
 
 
