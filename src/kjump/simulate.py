@@ -67,9 +67,9 @@ def _step(g, cur, u, v, k, out):
                 new = 0
                 front = levels[-1]
                 while front:
-                    low = front & -front
-                    new |= adj[low.bit_length() - 1]
-                    front ^= low
+                    x = front.bit_length() - 1
+                    new |= adj[x]
+                    front ^= 1 << x
                 new &= unseen
             else:
                 new = adj[lone] & unseen
@@ -122,9 +122,9 @@ def _read_chain(adj, levels, parent, x, d):
         sets.append(cand)
         near = 0
         while cand:
-            low = cand & -cand
-            near |= adj[low.bit_length() - 1]
-            cand ^= low
+            x = cand.bit_length() - 1
+            near |= adj[x]
+            cand ^= 1 << x
         d -= 1
         cand = near & levels[d]
         y = -1 if cand & (cand - 1) else cand.bit_length() - 1
