@@ -125,12 +125,14 @@ def _bits(m):
 
 
 def _neighbourhood(adj, front):
-    """OR of adj[v] over the set bits v of front."""
+    """OR of adj[v] over the set bits v of front, taken from the highest
+    bit down: clearing the top bit costs one shift, where isolating the
+    lowest costs a negation and an AND."""
     nb = 0
     while front:
-        low = front & -front
-        nb |= adj[low.bit_length() - 1]
-        front ^= low
+        v = front.bit_length() - 1
+        nb |= adj[v]
+        front ^= 1 << v
     return nb
 
 

@@ -28,7 +28,7 @@ dist(u, v) <= k too, so the compiler keeps nothing on the graph.
 
 from __future__ import annotations
 
-from .graph import GraphError, dist
+from .graph import GraphError, _neighbourhood, dist
 from .engine import Move, MoveSequence, _move_error, _to_mask, validate_sequence
 
 
@@ -63,16 +63,8 @@ def _step(g, cur, u, v, k, out):
         unseen = ((1 << g.n) - 1) ^ (1 << u)
         lone = u  # the vertex of the last level if it has no other, else -1
         while unseen >> v & 1:
-            if lone < 0:
-                new = 0
-                front = levels[-1]
-                while front:
-                    x = front.bit_length() - 1
-                    new |= adj[x]
-                    front ^= 1 << x
-                new &= unseen
-            else:
-                new = adj[lone] & unseen
+            nb = adj[lone] if lone >= 0 else _neighbourhood(adj, levels[-1])
+            new = nb & unseen
             unseen ^= new
             levels.append(new)
             y = -1 if new & (new - 1) else new.bit_length() - 1
@@ -120,13 +112,8 @@ def _read_chain(adj, levels, parent, x, d):
     y, cand = x, 1 << x
     while y not in parent:
         sets.append(cand)
-        near = 0
-        while cand:
-            x = cand.bit_length() - 1
-            near |= adj[x]
-            cand ^= 1 << x
         d -= 1
-        cand = near & levels[d]
+        cand = _neighbourhood(adj, cand) & levels[d]
         y = -1 if cand & (cand - 1) else cand.bit_length() - 1
     for cand in reversed(sets):
         cand &= adj[y]
