@@ -1016,27 +1016,38 @@ def _assert_exits_cleanly(argv):
 # counts stay out: a header of 10**8 variables allocates a multi-GB mask list
 # first. --k stays at 5 or below: a large k builds long paths, whose masks
 # grow with the square of the path length.
+_HUGE_COUNTS = (str(2**63), str(2**64))
 _TEXT_TOKENS = (
     "0", "1", "3", "-1", "+3", "1_0", "\uff13", "x", "p", "e", "c", "%", "1000",
-    str(2**63), str(2**64),
+    *_HUGE_COUNTS,
 )
 _FUZZ_EDGELIST = "c the path of GOOD_GRAPH\np edge 3 2\ne 1 2\ne 2 3\n"
 _FUZZ_CNF = "c planted: 100\np cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n"
 
 
 @st.composite
-def _mutated_text(draw, base, tokens):
+def _mutated_text(draw, base, tokens, counts=_HUGE_COUNTS):
     """base with one to three edits, each to a line: drop it, duplicate it,
     swap it with another, or delete, insert or replace one of its tokens,
-    a new token coming from tokens. A deletion past the last token of its
-    line deletes nothing, and a replacement there appends."""
+    a new token coming from tokens; or set one count of the first 'p' line
+    to one of counts. A deletion past the last token of its line deletes
+    nothing, and a replacement there appends. Hypothesis draws few tokens
+    per example, so without the header edit no example's header held a
+    count of 2**63 or more."""
     lines = [line.split() for line in base.splitlines()]
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         if not lines:
             break
         i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
-        edit = draw(st.sampled_from(["drop", "dup", "swap", "delete", "insert", "replace"]))
-        if edit == "drop":
+        edit = draw(st.sampled_from(
+            ["drop", "dup", "swap", "delete", "insert", "replace", "header"]
+        ))
+        if edit == "header":
+            header = next((line for line in lines if line[:1] == ["p"]), [])
+            if len(header) > 2:
+                j = draw(st.integers(min_value=2, max_value=len(header) - 1))
+                header[j] = draw(st.sampled_from(counts))
+        elif edit == "drop":
             del lines[i]
         elif edit == "dup":
             lines.insert(i, list(lines[i]))

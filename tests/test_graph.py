@@ -11,12 +11,15 @@ from hypothesis import given, settings, strategies as st
 
 from kjump import engine, reduction, split2
 from kjump.graph import (
+    _CLIQUE_MIN,
     Graph,
     GraphError,
     NotSplitError,
     _degree_partition,
     _find_c5,
     _find_obstruction,
+    _greedy_clique,
+    ball_levels,
     build_graph,
     diameter,
     dist,
@@ -206,6 +209,55 @@ def test_construction_errors_match_list_graph():
         kinds[want.split(":")[0] if want else "valid"] += 1
     assert set(kinds) == {"valid", "edge endpoint out of range", "self-loop", "duplicate edge"}
     assert min(kinds.values()) >= 100, kinds
+
+
+# (bad edge, the message naming it), n = 4; each case's edge list holds
+# good edges before the bad one and a different bad edge after it
+_BAD_EDGES = [
+    ((0, 1, 2), "edges must hold pairs of integers, got {p!r}"),
+    ((3,), "edges must hold pairs of integers, got {p!r}"),
+    ((True, 1), "edges must hold pairs of integers, got {p!r}"),
+    ((1, 2.0), "edges must hold pairs of integers, got {p!r}"),
+    ((-1, 2), "edge endpoint out of range: (-1, 2)"),
+    ((2, -1), "edge endpoint out of range: (2, -1)"),
+    ((0, -9), "edge endpoint out of range: (0, -9)"),
+    ((4, 0), "edge endpoint out of range: (4, 0)"),
+    ((0, 4), "edge endpoint out of range: (0, 4)"),
+    ((2**63, 1), f"edge endpoint out of range: ({2**63}, 1)"),
+    ((1, 2**63), f"edge endpoint out of range: (1, {2**63})"),
+    ((-2**63 - 1, 1), f"edge endpoint out of range: ({-2**63 - 1}, 1)"),
+    ((3, 3), "self-loop: (3, 3)"),
+    ((0, 1), "duplicate edge: (0, 1)"),
+    ((1, 0), "duplicate edge: (1, 0)"),
+]
+
+
+@pytest.mark.parametrize("bad, message", _BAD_EDGES)
+@pytest.mark.parametrize("form", ["list", "generator", "iterators"])
+def test_each_bad_edge_kind_names_the_first_bad_edge(bad, message, form):
+    # a list of pairs, a stream, and pairs that can be read only once: the
+    # error names the first bad edge as the list-first constructor did
+    pairs = [(0, 1), (1, 2), bad, (2, 2), (0, 5)]
+    if form == "list":
+        edges = pairs
+    elif form == "generator":
+        edges = (p for p in pairs)
+    else:
+        edges = [iter(p) for p in pairs]
+    with pytest.raises(GraphError) as exc:
+        Graph(4, edges)
+    shown = edges[2] if form == "iterators" else bad
+    assert str(exc.value) == message.format(p=shown)
+    if type(bad[0]) is type(bad[-1]) is int and len(bad) == 2:
+        assert _outcome(naive_graph_lists, 4, pairs) == str(exc.value)
+
+
+def test_graph_m_counts_the_edges():
+    pairs = [(0, 1), (2, 1), (3, 0), (1, 3)]
+    for edges in (pairs, (p for p in pairs), [iter(p) for p in pairs], []):
+        g = Graph(4, edges)
+        assert g.m == len(g.edges) == (4 if edges else 0)
+    assert Graph(0, []).m == 0
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +719,86 @@ def test_kernels_on_long_path():
     assert diameter(g) == 999
     assert lex_bfs(g) == list(range(1000))
     assert find_peo(g) == list(range(999, -1, -1))
+
+
+def naive_ball_levels(g):
+    """ball_levels' levels from one BFS per vertex: level d holds the mask
+    of the vertices within distance d of each vertex, for d up to the
+    largest eccentricity of a vertex in its component."""
+    dists = []
+    for u in range(g.n):
+        seen = {u: 0}
+        queue = collections.deque([u])
+        while queue:
+            x = queue.popleft()
+            for w in g.adj[x]:
+                if w not in seen:
+                    seen[w] = seen[x] + 1
+                    queue.append(w)
+        dists.append(seen)
+    top = max((max(d.values()) for d in dists), default=-1)
+    return [
+        [sum(1 << w for w, dw in d.items() if dw <= level) for d in dists]
+        for level in range(top + 1)
+    ]
+
+
+def _ball_corpus():
+    rng = random.Random(26)
+    yield build_graph(0, [])
+    yield build_graph(1, [])
+    yield build_graph(3, [])
+    # a clique beside a path and an isolated vertex
+    yield build_graph(9, [*itertools.combinations(range(5), 2), (5, 6), (6, 7)])
+    for _ in range(400):
+        # random graphs with a planted clique, some disconnected, some with
+        # isolated vertices
+        n = rng.randint(2, 24)
+        p = rng.choice((0.0, 0.05, 0.15, 0.4))
+        edges = {e for e in itertools.combinations(range(n), 2) if rng.random() < p}
+        clique = sorted(rng.sample(range(n), rng.randint(2, n)))
+        edges.update(itertools.combinations(clique, 2))
+        yield build_graph(n, sorted(edges))
+    for _ in range(150):
+        yield random_split_graph(rng.randint(0, 20), rng)
+    for phi in exhaustive_e3_formulas()[::400]:
+        for k in (3, 4, 5):
+            yield build_instance(phi, k).graph
+
+
+def test_ball_levels_match_per_vertex_bfs():
+    seen = collections.Counter()
+    for g in _ball_corpus():
+        levels = [list(balls) for balls in ball_levels(g)]
+        assert levels == naive_ball_levels(g), g
+        shared = len(_greedy_clique(g.adj_mask)) >= _CLIQUE_MIN
+        seen["shared" if shared else "alone"] += 1
+        seen["disconnected"] += g.n > 1 and naive_diameter(g) is None
+    assert min(seen.values()) >= 100, seen
+
+
+def test_greedy_clique_on_reduction_graphs_is_the_k_vertices():
+    # the clique that ball_levels shares is the one of the 3m k-vertices;
+    # at m = 1, v_{k-1} sees all three of them, and the clique takes it too
+    checked = 0
+    for phi in exhaustive_e3_formulas()[::250]:
+        m = len(phi.clauses)
+        if m == 1:
+            inst = build_instance(phi, 3)
+            assert sorted(_greedy_clique(inst.graph.adj_mask)) == sorted(
+                [inst.v(0, 2), *(inst.kv(0, x) for x in range(3))]
+            )
+            continue
+        checked += 1
+        for k in (3, 4, 5):
+            inst = build_instance(phi, k)
+            clique = _greedy_clique(inst.graph.adj_mask)
+            kvs = {inst.kv(i, x) for i in range(m) for x in range(3)}
+            assert len(clique) == 3 * m and set(clique) == kvs
+    assert checked >= 15
+    assert _greedy_clique(()) == []
+    # degrees 1, 2, 2, 1: the first of the two highest, then its best neighbour
+    assert _greedy_clique(path_graph(4).adj_mask) == [1, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -56,9 +56,9 @@ def test_dead_lines_reports_statements_that_never_ran():
     assert [x for x in dead if "path = _cone_path(g, k, meet, fwd, bwd)" in x]
 
 
-def test_bench_pair_writes_bench_schema(tmp_path):
-    # a one-commit repository holding what a benchmark run needs, with the
-    # script inside it, so both sides are clean clones of that commit
+def _one_commit_repo(tmp_path, scripts):
+    """A one-commit repository holding what a benchmark run needs, with the
+    scripts inside it, so both sides of a run are clean clones of it."""
     repo = tmp_path / "repo"
     for part in ("src", "perfbench"):
         shutil.copytree(
@@ -66,12 +66,18 @@ def test_bench_pair_writes_bench_schema(tmp_path):
             ignore=shutil.ignore_patterns("__pycache__", ".perfbench"),
         )
     (repo / "scripts").mkdir()
-    shutil.copy(os.path.join(ROOT, "scripts", "bench_pair.py"), repo / "scripts")
+    for script in scripts:
+        shutil.copy(os.path.join(ROOT, "scripts", script), repo / "scripts")
     shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), repo)
     git = ["git", "-C", str(repo), "-c", "user.name=bench", "-c", "user.email=bench@localhost"]
     subprocess.run([*git, "init", "--quiet"], check=True)
     subprocess.run([*git, "add", "."], check=True)
     subprocess.run([*git, "commit", "--quiet", "-m", "bench base"], check=True)
+    return repo
+
+
+def test_bench_pair_writes_bench_schema(tmp_path):
+    repo = _one_commit_repo(tmp_path, ["bench_pair.py"])
     out = tmp_path / "BENCH.json"
     proc = subprocess.run(
         [sys.executable, str(repo / "scripts" / "bench_pair.py"), "HEAD",
@@ -110,3 +116,30 @@ def test_bench_pair_writes_bench_schema(tmp_path):
         assert set(m) == {"better", "parent", "change", "change_wins", "runs"}
         assert set(m["parent"]) == {"median", "q1", "q3"}
         assert len(m["runs"]["change"]) == 3 and m["change_wins"].endswith("/3")
+
+
+def test_scale_ladder_quick_writes_its_schema(tmp_path):
+    repo = _one_commit_repo(tmp_path, ["bench_pair.py", "scale_ladder.py"])
+    out = tmp_path / "LADDER.json"
+    proc = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "scale_ladder.py"), "HEAD",
+         "--quick", "--pairs", "2", "--out", str(out)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert list(doc) == ["what", "machine", "command", "parent", "change", "pairs", "cases"]
+    assert doc["what"] == "bench base" and doc["pairs"] == 2
+    assert doc["parent"] == doc["change"] and doc["parent"]["src_lines"] > 0
+    assert list(doc["cases"]) == ["reduce_10", "stats_10"]
+    for case in doc["cases"].values():
+        assert list(case) == [
+            "parent", "change", "wall_ratio", "exits_zero", "stdout_equal", "runs"
+        ]
+        assert case["exits_zero"] is True and case["stdout_equal"] is True
+        for side in ("parent", "change"):
+            assert set(case[side]) == {"wall_s", "cpu_s", "maxrss_mb"}
+            assert len(case["runs"][side]) == 2
+            for run in case["runs"][side]:
+                assert set(run) == {"wall_s", "cpu_s", "maxrss_mb", "exit", "stdout_sha256"}
+                assert run["wall_s"] > 0 and run["maxrss_mb"] > 0
