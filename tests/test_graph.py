@@ -773,7 +773,12 @@ def test_ball_levels_match_per_vertex_bfs():
         assert levels == naive_ball_levels(g), g
         shared = len(_greedy_clique(g.adj_mask)) >= _CLIQUE_MIN
         seen["shared" if shared else "alone"] += 1
-        seen["disconnected"] += g.n > 1 and naive_diameter(g) is None
+        # diameter and diameter_and_bound read the same levels
+        want = naive_diameter(g) if g.n else None
+        assert engine.diameter_and_bound(g, set(), set(), 1) == (want, 0)
+        if want is not None:
+            assert diameter(g) == want == len(levels) - 1
+        seen["disconnected"] += g.n > 1 and want is None
     assert min(seen.values()) >= 100, seen
 
 
