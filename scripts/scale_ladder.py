@@ -1,20 +1,25 @@
-"""Time `kjump reduce` and `kjump stats` at documented scale on two commits.
+"""Time `kjump reduce`, `kjump stats` and `kjump simulate` at documented
+scale on two commits.
 
-    python scripts/scale_ladder.py PARENT [CHANGE] --out LADDER_26.json
+    python scripts/scale_ladder.py PARENT [CHANGE] --out LADDER_27.json
     python scripts/scale_ladder.py HEAD --quick --out /tmp/ladder.json
 
 Each side is a clean local clone of the repository at its commit (CHANGE
-defaults to HEAD), made as `bench_pair.py` makes them. The cases are the
-planted E3-CNF formulas of `perfbench.workloads.planted_e3cnf` (seed 1) at
-m = n = 300 and 1000, or at m = n = 10 with --quick, reduced at k = 3. Per
-size and pair, each side runs `python -m kjump.cli reduce` on the formula
-and then `kjump stats` on its own reduce output, every command in a fresh
-child process; which side goes first alternates from pair to pair. A run
-records its wall time, its process time (user + system) and the child's
-`ru_maxrss`, read by `os.wait4` for that child alone, with its exit code
-and the sha256 of its stdout. Per case the file gives each side's medians
-and the change's wall-time ratio to the parent's. The ladder sets no gate;
-it records numbers.
+defaults to HEAD), made as `bench_pair.py` makes them. The reduction cases
+are the planted E3-CNF formulas of `perfbench.workloads.planted_e3cnf`
+(seed 1) at m = n = 300 and 1000, or at m = n = 10 with --quick, reduced at
+k = 3. Per size and pair, each side runs `python -m kjump.cli reduce` on the
+formula and then `kjump stats` on its own reduce output. The compiler cases
+are the paths of 10,000, 20,000 and 40,000 vertices, or of 200 with
+--quick, given as edge lists: per size and pair, each side runs
+`kjump simulate` at k = 3 on the one Token Jumping move 0 -> n - 1, once
+from {0} (free) and once with tokens on range(0, n - 3, 7) (blocked). Every
+command runs in a fresh child process; which side goes first alternates
+from pair to pair. A run records its wall time, its process time (user +
+system) and the child's `ru_maxrss`, read by `os.wait4` for that child
+alone, with its exit code and the sha256 of its stdout. Per case the file
+gives each side's medians and the change's wall-time ratio to the
+parent's. The ladder sets no gate; it records numbers.
 """
 
 import argparse
@@ -33,6 +38,8 @@ from bench_pair import ROOT, SIDES, _git, clone, machine, src_lines
 
 SIZES = (300, 1000)
 QUICK_SIZES = (10,)
+PATHS = (10_000, 20_000, 40_000)
+QUICK_PATHS = (200,)
 K = 3
 
 
@@ -43,6 +50,21 @@ def formula(size):
     from perfbench.workloads import planted_e3cnf
 
     return planted_e3cnf(size, size, random.Random(1))[0]
+
+
+def path_files(tmp, n):
+    """Write the n-vertex path as an edge list and the two one-move
+    sequences 0 -> n - 1, free and blocked; returns their paths."""
+    graph = os.path.join(tmp, f"path_{n}.txt")
+    with open(graph, "w") as fh:
+        fh.write(f"p edge {n} {n - 1}\n")
+        fh.writelines(f"e {i} {i + 1}\n" for i in range(1, n))
+    seqs = {}
+    for case, start in (("free", [0]), ("blocked", list(range(0, n - 3, 7)))):
+        seqs[case] = os.path.join(tmp, f"{case}_{n}.json")
+        with open(seqs[case], "w") as fh:
+            json.dump({"start": start, "moves": [[0, n - 1]], "k": n - 1}, fh)
+    return graph, seqs
 
 
 def run_child(checkout, argv, out_path):
@@ -99,10 +121,11 @@ def main(argv=None):
     p.add_argument("parent")
     p.add_argument("change", nargs="?", default="HEAD")
     p.add_argument("--pairs", type=int, default=3)
-    p.add_argument("--quick", action="store_true", help="m = n = 10 only")
+    p.add_argument("--quick", action="store_true", help="m = n = 10 and n = 200 only")
     p.add_argument("--out", required=True)
     args = p.parse_args(argv)
     sizes = QUICK_SIZES if args.quick else SIZES
+    paths = QUICK_PATHS if args.quick else PATHS
 
     tmp = tempfile.mkdtemp(prefix="scale_ladder-")
     try:
@@ -128,6 +151,18 @@ def main(argv=None):
                     )
                     os.remove(doc)
             cases.update((name, summarize(r)) for name, r in runs.items())
+        for n in paths:
+            graph, seqs = path_files(tmp, n)
+            runs = {f"simulate_{case}_{n}": {side: [] for side in SIDES} for case in seqs}
+            for i in range(args.pairs):
+                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                    print(f"path n = {n} pair {i + 1}: {side}", file=sys.stderr, flush=True)
+                    for case, seq in seqs.items():
+                        argv = ["simulate", graph, seq, "--k", str(K), "--format", "edgelist"]
+                        runs[f"simulate_{case}_{n}"][side].append(
+                            run_child(dirs[side], argv, os.path.join(tmp, "simulate.out"))
+                        )
+            cases.update((name, summarize(r)) for name, r in runs.items())
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -136,9 +171,10 @@ def main(argv=None):
         "machine": machine(),
         "command": (
             f"python -m kjump.cli reduce <planted m = n formula, seed 1> --k {K}, then"
-            " kjump stats on that side's output; one child process per command,"
-            " each side in its own clean clone, the side that runs first"
-            " alternating from pair to pair"
+            " kjump stats on that side's output; kjump simulate <n-vertex path edge"
+            f" list> <move 0 -> n - 1 from {{0}} or range(0, n - 3, 7)> --k {K}"
+            " --format edgelist; one child process per command, each side in its"
+            " own clean clone, the side that runs first alternating from pair to pair"
         ),
         **{side: {"commit": commits[side], "src_lines": lines[side]} for side in SIDES},
         "pairs": args.pairs,
@@ -149,7 +185,7 @@ def main(argv=None):
         fh.write("\n")
     for name, case in cases.items():
         print(
-            f"{name:<12} wall parent {case['parent']['wall_s']:>8.3f} s"
+            f"{name:<22} wall parent {case['parent']['wall_s']:>8.3f} s"
             f"  change {case['change']['wall_s']:>8.3f} s  ratio {case['wall_ratio']:.3f}"
             f"  maxrss {case['parent']['maxrss_mb']:.1f} -> {case['change']['maxrss_mb']:.1f} MB"
             f"  stdout_equal {case['stdout_equal']}"

@@ -171,10 +171,13 @@ def dist(g, u, v, limit=None):
     adj = g.adj_mask
     seen = front = 1 << u
     seen_other = front_other = 1 << v
+    size = size_other = 1  # the frontiers' vertex counts
     d = 0
     while limit is None or d < limit:
-        if front.bit_count() > front_other.bit_count():
-            seen, front, seen_other, front_other = seen_other, front_other, seen, front
+        if size > size_other:
+            seen, front, size, seen_other, front_other, size_other = (
+                seen_other, front_other, size_other, seen, front, size
+            )
         nb = _neighbourhood(adj, front)
         d += 1
         if nb & front_other:
@@ -183,6 +186,7 @@ def dist(g, u, v, limit=None):
         if not front:
             return None
         seen |= front
+        size = front.bit_count()
     return None
 
 
@@ -199,9 +203,6 @@ def _reach(adj, start, radius=-1):
 
 def is_connected(g):
     return g.n <= 1 or _reach(g.adj_mask, 1) == (1 << g.n) - 1
-
-
-_CLIQUE_MIN = 3  # members, below which ball_levels shares no union
 
 
 def _greedy_clique(adj):
@@ -238,8 +239,8 @@ def ball_levels(g):
     member u, so each level ORs the balls of Q once into C, and a member's
     next ball is C with the balls of its neighbours outside Q. On a
     reduction graph Q is the clique of the 3m k-vertices, most of its
-    edges. A Q of fewer than _CLIQUE_MIN vertices saves no OR, and then
-    every vertex reads all its neighbours.
+    edges. A Q of one or two vertices spends on its union the ORs that its
+    members' neighbour arrays no longer take, so every graph takes this path.
 
     Cost: O(D * (m - |Q|(|Q| - 1)/2 + |Q|)) big-int ORs of n bits for the
     D levels, and no distance table. The neighbours are int32 arrays read off the masks one
@@ -250,8 +251,6 @@ def ball_levels(g):
     full = (1 << g.n) - 1
     rows = list(g.adj_mask)
     clique = _greedy_clique(rows)
-    if len(clique) < _CLIQUE_MIN:
-        clique = []
     qmask = _to_mask(clique)
     for q in clique:
         rows[q] &= ~qmask
@@ -262,14 +261,13 @@ def ball_levels(g):
     while grew:
         yield balls
         nxt = balls.copy()
-        if clique:
-            # a member whose ball stopped growing holds the component,
-            # which is then the union too, so every member may take it
-            union = 0
-            for q in clique:
-                union |= balls[q]
-            for q in clique:
-                nxt[q] = union
+        # a member whose ball stopped growing holds the component, which
+        # is then the union too, so every member may take it
+        union = 0
+        for q in clique:
+            union |= balls[q]
+        for q in clique:
+            nxt[q] = union
         growing = []
         grew = False
         for item in active:

@@ -11,13 +11,15 @@ The shortest path is the one a queue BFS from u gives when each vertex
 discovers its unseen neighbours in ascending order and keeps its first
 discoverer, so a vertex's parent is the first queued of its neighbours one
 level down. It is read off the BFS levels from u, held as masks (L_0 = {u},
-L_{j+1} = N(L_j) & unseen), with no queue. For x at depth d let X_d = {x}
-and X_j = N(X_{j+1}) & L_j. Each vertex of X_j has its parent in X_{j-1},
-and a vertex of X_j queues before another when its parent does, or when
-they share a parent and its id is lower. So the first queued vertex of X_j
-is the lowest one adjacent to the first queued vertex of X_{j-1}, and its
-parent is that vertex: from X_0 = {u} up, the first queued vertices of the
-X_j are x's ancestors.
+L_{j+1} = N(L_j) & unseen), with no queue and no parents kept. For x at
+depth d let X_d = {x} and X_j = N(X_{j+1}) & L_j. Each vertex of X_j has
+its parent in X_{j-1}, and a vertex of X_j queues before another when its
+parent does, or when they share a parent and its id is lower. So the first
+queued vertex of X_j is the lowest one adjacent to the first queued vertex
+of X_{j-1}, and its parent is that vertex: from X_0 = {u} up, the first
+queued vertices of the X_j are x's ancestors. A one-vertex X_j holds the
+ancestor at depth j, so the climb may start from any one-vertex set, with
+no parent known.
 
 Each generated move is checked once, as `_emit` appends it, against one
 running state mask, by the validator's own move check `_move_error`; the
@@ -49,36 +51,21 @@ def _step(g, cur, u, v, k, out):
 
     u stays fixed, so every iteration reads its path off one list of
     levels from u, grown until v is discovered; only a v outside them takes
-    the pair test dist(u, v) <= k. Parents are kept for chain vertices
-    only, each chain read down to a vertex whose parent is known (see
-    `_read_chain`), so a blocked case's u' descends only until it meets a
-    chain read before. A level of one vertex lies on every path, so while
-    the levels from u have one vertex each, their parents are kept as they
-    grow. w is the (k-1)-th ancestor of v."""
+    the pair test dist(u, v) <= k. w is the ancestor of v k - 1 levels
+    down (see `_ancestor`)."""
     pending = []  # final jumps (w, v), the innermost last
     if dist(g, u, v, k) is None:
         adj = g.adj_mask
-        parent = {u: u}
         levels = [1 << u]
         unseen = ((1 << g.n) - 1) ^ (1 << u)
-        lone = u  # the vertex of the last level if it has no other, else -1
         while unseen >> v & 1:
-            nb = adj[lone] if lone >= 0 else _neighbourhood(adj, levels[-1])
-            new = nb & unseen
+            new = _neighbourhood(adj, levels[-1]) & unseen
             unseen ^= new
             levels.append(new)
-            y = -1 if new & (new - 1) else new.bit_length() - 1
-            if y >= 0 and lone in parent:
-                parent[y] = lone
-            lone = y
         d = len(levels) - 1  # the depth of v
         while d > k:
-            if v not in parent:
-                _read_chain(adj, levels, parent, v, d)
-            w = v
-            for _ in range(k - 1):
-                w = parent[w]
             dw = d - k + 1
+            w = _ancestor(adj, levels, v, d, dw)
             occupied = cur >> w & 1
             near = adj[w] & cur
             if not occupied and not near:
@@ -102,24 +89,24 @@ def _step(g, cur, u, v, k, out):
     return cur
 
 
-def _read_chain(adj, levels, parent, x, d):
-    """Record in parent the BFS parents of x at depth d and of its ancestors
-    down to the first one whose parent is known, where every ancestor's is:
-    the candidate sets X_j (module docstring) are built down to a single
-    known vertex y, then each ancestor is the lowest vertex of its set
-    adjacent to the one below."""
-    sets = []  # X_d, X_{d-1}, ... above the known vertex y
-    y, cand = x, 1 << x
-    while y not in parent:
-        sets.append(cand)
+def _ancestor(adj, levels, x, d, j):
+    """The BFS ancestor at depth j < d of x at depth d: the candidate sets
+    X_i (module docstring) are built down to depth j and on until one holds
+    a single vertex, the ancestor at its depth; then each ancestor up to
+    depth j is the lowest vertex of its set adjacent to the one below."""
+    d -= 1
+    cand = adj[x] & levels[d]  # X_{d-1}
+    sets = []  # X_j, X_{j-1}, ... above the one-vertex set
+    while d > j or cand & (cand - 1):
+        if d <= j:
+            sets.append(cand)
         d -= 1
         cand = _neighbourhood(adj, cand) & levels[d]
-        y = -1 if cand & (cand - 1) else cand.bit_length() - 1
+    y = cand.bit_length() - 1
     for cand in reversed(sets):
         cand &= adj[y]
-        x = (cand & -cand).bit_length() - 1
-        parent[x] = y
-        y = x
+        y = (cand & -cand).bit_length() - 1
+    return y
 
 
 def _emit(g, cur, src, dst, k, out):

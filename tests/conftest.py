@@ -89,7 +89,7 @@ def naive_dist(g, u, v):
 
 def naive_shortest_path(g, u, v):
     """One shortest u-v path, or None, by a BFS that stops once v is found;
-    `simulate._step` reads the same paths from one parent tree per call.
+    `simulate._step` reads the same paths off one list of BFS levels per call.
 
     Parents are chosen deterministically: BFS scans neighbors in ascending
     order, and each vertex keeps the parent that discovered it, which is the

@@ -1070,6 +1070,9 @@ _TEXT_FUZZ_COMMANDS = [
     (["recognize", "T", "--format", "edgelist"], _FUZZ_EDGELIST, _TEXT_TOKENS, st.just([])),
     (["simulate", "T", "S", "--format", "edgelist"], _FUZZ_EDGELIST, _TEXT_TOKENS, _fuzz_k),
     (["reduce", "T"], _FUZZ_CNF, _TEXT_TOKENS, _fuzz_k),
+    # a valid --k, so that a huge header count reaches build_instance
+    (["reduce", "T"], _FUZZ_CNF, _TEXT_TOKENS,
+     st.integers(min_value=3, max_value=5).map(lambda k: ["--k", str(k)])),
 ]
 
 

@@ -1,3 +1,4 @@
+import collections
 import random
 import time
 
@@ -8,7 +9,13 @@ from kjump.engine import Move, MoveSequence, _ball, _to_mask, validate_sequence
 from kjump.generators import random_connected_graph, random_independent_set
 from kjump.graph import GraphError, build_graph, diameter, dist, is_independent
 from kjump.reduction import build_instance
-from kjump.simulate import SimulationError, _emit, simulate_move, simulate_sequence
+from kjump.simulate import (
+    SimulationError,
+    _ancestor,
+    _emit,
+    simulate_move,
+    simulate_sequence,
+)
 
 from conftest import (
     exhaustive_e3_formulas,
@@ -110,7 +117,7 @@ def test_compiler_leaves_no_balls_on_the_graph():
 
 
 def test_compiler_builds_no_neighbour_tuples():
-    # the parent tree grows by mask scan, so the compiler never builds the
+    # the BFS levels grow by mask scan, so the compiler never builds the
     # lazy Graph.adj, which reads every mask
     g = path_graph(100)
     seq = MoveSequence(frozenset({0, 99}), (Move(0, 50), Move(99, 2)), 99)
@@ -257,13 +264,46 @@ def _crowded_jumps(g, base, rng, count, k):
     return jumps
 
 
+def test_ancestor_is_the_queue_bfs_path_vertex():
+    # For every x and every depth j below it, _ancestor gives the depth-j
+    # vertex of the queue BFS path u .. x. Paths have one vertex per level,
+    # so every descent ends on the one-vertex set at depth j; reduction
+    # instances at k = 3..7 and random connected graphs have wide levels,
+    # where it must go on below j until a set holds one vertex.
+    rng = random.Random(27)
+    graphs = [path_graph(n) for n in (2, 9, 40)]
+    formulas = exhaustive_e3_formulas()
+    graphs += [build_instance(rng.choice(formulas), k).graph for k in range(3, 8)]
+    graphs += [random_connected_graph(rng.randint(6, 40), rng) for _ in range(12)]
+    ends = collections.Counter()
+    for g in graphs:
+        u = rng.randrange(g.n)
+        row = _bfs_row(g, u)
+        levels = [0] * (max(row.values()) + 1)
+        for y, i in row.items():
+            levels[i] |= 1 << y
+        for x, d in row.items():
+            path = naive_shortest_path(g, u, x)
+            back = _bfs_row(g, x)
+            for j in range(d):
+                assert _ancestor(g.adj_mask, levels, x, d, j) == path[j]
+                # the depth where the descent ends: the deepest i <= j whose
+                # X_i, the depth-i vertices on shortest u-x paths, is one vertex
+                end = max(
+                    i for i in range(j + 1)
+                    if sum(row[y] == i and back[y] == d - i for y in row) == 1
+                )
+                ends["at j" if end == j else "below j"] += 1
+    assert min(ends["at j"], ends["below j"]) >= 200, ends
+
+
 def test_blocked_cases_off_the_path_match_per_iteration_paths():
     # Crowded configurations on reduction instances at k = 4..7 and on
     # random connected graphs fire blocked cases whose token u' is a
     # neighbour of w off the current shortest path, one level above, on or
-    # below w's level; such a u' has no known parent and its chain is read
-    # down until it meets a known one. The moves before the first one
-    # from u are the blocked cases' jumps u' -> v.
+    # below w's level; the next ancestor is read from u' at its own level.
+    # The moves before the first one from u are the blocked cases' jumps
+    # u' -> v.
     rng = random.Random(25)
     formulas = exhaustive_e3_formulas()
     cases = []
@@ -296,8 +336,8 @@ def test_blocked_cases_off_the_path_match_per_iteration_paths():
 
 def test_blocked_long_path_jump_scales_linearly():
     # a token on every 7th vertex of a long path blocks about every other
-    # iteration of 0 -> n-1; each blocked case's u' is on the path, so its
-    # chain is known and it descends no further
+    # iteration of 0 -> n-1; each blocked case's u' is on the path, where
+    # every candidate set holds one vertex
     n = 10_000
     g = path_graph(n)
     c = set(range(0, n, 7))
