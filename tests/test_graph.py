@@ -770,7 +770,7 @@ def test_ball_levels_match_per_vertex_bfs():
     for g in _ball_corpus():
         levels = [list(balls) for balls in ball_levels(g)]
         assert levels == naive_ball_levels(g), g
-        shared = len(_greedy_clique(g.adj_mask)) >= 3
+        shared = len(_greedy_clique(g.adj_mask)) >= 3  # a union that saves ORs
         seen["shared" if shared else "alone"] += 1
         # diameter and diameter_and_bound read the same levels
         want = naive_diameter(g) if g.n else None
