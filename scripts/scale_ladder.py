@@ -10,10 +10,13 @@ are the planted E3-CNF formulas of `perfbench.workloads.planted_e3cnf`
 (seed 1) at m = n = 300 and 1000, or at m = n = 10 with --quick, reduced at
 k = 3. Per size and pair, each side runs `python -m kjump.cli reduce` on the
 formula and then `kjump stats` on its own reduce output. The compiler cases
-are the paths of 10,000, 20,000 and 40,000 vertices, or of 200 with
---quick, given as edge lists: per size and pair, each side runs
-`kjump simulate` at k = 3 on the one Token Jumping move 0 -> n - 1, once
-from {0} (free) and once with tokens on range(0, n - 3, 7) (blocked). Every
+are graphs of 10,000, 20,000 and 40,000 vertices, or of 200 with --quick,
+given as edge lists: the path, with one vertex per BFS level, and the
+ladder of n / 2 rungs numbered by rungs (vertex 2c + r is row r of rung
+c), whose levels from 0 hold two vertices. Per graph, size and pair, each
+side runs `kjump simulate` at k = 3 on the one Token Jumping move
+0 -> n - 1, once from {0} (free) and once with tokens on range(0, n - 3, 7)
+(blocked). Every
 command runs in a fresh child process; which side goes first alternates
 from pair to pair. A run records its wall time, its process time (user +
 system) and the child's `ru_maxrss`, read by `os.wait4` for that child
@@ -24,6 +27,7 @@ parent's. The ladder sets no gate; it records numbers.
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -38,8 +42,8 @@ from bench_pair import ROOT, SIDES, _git, clone, machine, src_lines
 
 SIZES = (300, 1000)
 QUICK_SIZES = (10,)
-PATHS = (10_000, 20_000, 40_000)
-QUICK_PATHS = (200,)
+JUMP_SIZES = (10_000, 20_000, 40_000)
+QUICK_JUMP_SIZES = (200,)
 K = 3
 
 
@@ -52,19 +56,28 @@ def formula(size):
     return planted_e3cnf(size, size, random.Random(1))[0]
 
 
-def path_files(tmp, n):
-    """Write the n-vertex path as an edge list and the two one-move
+def graph_edges(graph, n):
+    """The edges of the n-vertex path or rung-numbered ladder."""
+    if graph == "path":
+        return [(i, i + 1) for i in range(n - 1)]
+    rungs = [(c, c + 1) for c in range(0, n, 2)]
+    return rungs + [(x, x + 2) for x in range(n - 2)]
+
+
+def jump_files(tmp, graph, n):
+    """Write the n-vertex graph as an edge list and the two one-move
     sequences 0 -> n - 1, free and blocked; returns their paths."""
-    graph = os.path.join(tmp, f"path_{n}.txt")
-    with open(graph, "w") as fh:
-        fh.write(f"p edge {n} {n - 1}\n")
-        fh.writelines(f"e {i} {i + 1}\n" for i in range(1, n))
+    edges = graph_edges(graph, n)
+    path = os.path.join(tmp, f"{graph}_{n}.txt")
+    with open(path, "w") as fh:
+        fh.write(f"p edge {n} {len(edges)}\n")
+        fh.writelines(f"e {x + 1} {y + 1}\n" for x, y in edges)
     seqs = {}
     for case, start in (("free", [0]), ("blocked", list(range(0, n - 3, 7)))):
-        seqs[case] = os.path.join(tmp, f"{case}_{n}.json")
+        seqs[case] = os.path.join(tmp, f"{graph}_{case}_{n}.json")
         with open(seqs[case], "w") as fh:
             json.dump({"start": start, "moves": [[0, n - 1]], "k": n - 1}, fh)
-    return graph, seqs
+    return path, seqs
 
 
 def run_child(checkout, argv, out_path):
@@ -125,7 +138,7 @@ def main(argv=None):
     p.add_argument("--out", required=True)
     args = p.parse_args(argv)
     sizes = QUICK_SIZES if args.quick else SIZES
-    paths = QUICK_PATHS if args.quick else PATHS
+    jump_sizes = QUICK_JUMP_SIZES if args.quick else JUMP_SIZES
 
     tmp = tempfile.mkdtemp(prefix="scale_ladder-")
     try:
@@ -151,15 +164,16 @@ def main(argv=None):
                     )
                     os.remove(doc)
             cases.update((name, summarize(r)) for name, r in runs.items())
-        for n in paths:
-            graph, seqs = path_files(tmp, n)
-            runs = {f"simulate_{case}_{n}": {side: [] for side in SIDES} for case in seqs}
+        for graph, n in itertools.product(("path", "ladder"), jump_sizes):
+            path, seqs = jump_files(tmp, graph, n)
+            names = {case: f"simulate_{graph}_{case}_{n}" for case in seqs}
+            runs = {name: {side: [] for side in SIDES} for name in names.values()}
             for i in range(args.pairs):
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                    print(f"path n = {n} pair {i + 1}: {side}", file=sys.stderr, flush=True)
+                    print(f"{graph} n = {n} pair {i + 1}: {side}", file=sys.stderr, flush=True)
                     for case, seq in seqs.items():
-                        argv = ["simulate", graph, seq, "--k", str(K), "--format", "edgelist"]
-                        runs[f"simulate_{case}_{n}"][side].append(
+                        argv = ["simulate", path, seq, "--k", str(K), "--format", "edgelist"]
+                        runs[names[case]][side].append(
                             run_child(dirs[side], argv, os.path.join(tmp, "simulate.out"))
                         )
             cases.update((name, summarize(r)) for name, r in runs.items())
@@ -171,8 +185,9 @@ def main(argv=None):
         "machine": machine(),
         "command": (
             f"python -m kjump.cli reduce <planted m = n formula, seed 1> --k {K}, then"
-            " kjump stats on that side's output; kjump simulate <n-vertex path edge"
-            f" list> <move 0 -> n - 1 from {{0}} or range(0, n - 3, 7)> --k {K}"
+            " kjump stats on that side's output; kjump simulate <n-vertex path or"
+            " rung-numbered ladder edge list> <move 0 -> n - 1 from {0} or"
+            f" range(0, n - 3, 7)> --k {K}"
             " --format edgelist; one child process per command, each side in its"
             " own clean clone, the side that runs first alternating from pair to pair"
         ),
@@ -185,7 +200,7 @@ def main(argv=None):
         fh.write("\n")
     for name, case in cases.items():
         print(
-            f"{name:<22} wall parent {case['parent']['wall_s']:>8.3f} s"
+            f"{name:<29} wall parent {case['parent']['wall_s']:>8.3f} s"
             f"  change {case['change']['wall_s']:>8.3f} s  ratio {case['wall_ratio']:.3f}"
             f"  maxrss {case['parent']['maxrss_mb']:.1f} -> {case['change']['maxrss_mb']:.1f} MB"
             f"  stdout_equal {case['stdout_equal']}"

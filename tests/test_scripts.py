@@ -132,7 +132,9 @@ def test_scale_ladder_quick_writes_its_schema(tmp_path):
     assert doc["what"] == "bench base" and doc["pairs"] == 2
     assert doc["parent"] == doc["change"] and doc["parent"]["src_lines"] > 0
     assert list(doc["cases"]) == [
-        "reduce_10", "stats_10", "simulate_free_200", "simulate_blocked_200"
+        "reduce_10", "stats_10",
+        "simulate_path_free_200", "simulate_path_blocked_200",
+        "simulate_ladder_free_200", "simulate_ladder_blocked_200",
     ]
     for case in doc["cases"].values():
         assert list(case) == [
