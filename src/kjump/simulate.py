@@ -18,8 +18,10 @@ parent does, or when they share a parent and its id is lower. So the first
 queued vertex of X_j is the lowest one adjacent to the first queued vertex
 of X_{j-1}, and its parent is that vertex: from X_0 = {u} up, the first
 queued vertices of the X_j are x's ancestors. A one-vertex X_j holds the
-ancestor at depth j, so the climb may start from any one-vertex set, with
-no parent known.
+ancestor at depth j, so it is read off as the descent meets it, and the
+climb may start from any one-vertex set. Two vertices that share an
+ancestor share every one below it, so a descent may stop at a one-vertex
+set whose vertex is the ancestor already read at its depth.
 
 Each generated move is checked once, as `_emit` appends it, against one
 running state mask, by the validator's own move check `_move_error`; the
@@ -51,8 +53,9 @@ def _step(g, cur, u, v, k, out):
 
     u stays fixed, so every iteration reads its path off one list of
     levels from u, grown until v is discovered; only a v outside them takes
-    the pair test dist(u, v) <= k. w is the ancestor of v k - 1 levels
-    down (see `_ancestor`)."""
+    the pair test dist(u, v) <= k. v's ancestors are kept by depth, read
+    once for the first v and again only from where a blocked case's u'
+    leaves them (see `_ancestors`); w is the one k - 1 levels below v."""
     pending = []  # final jumps (w, v), the innermost last
     if dist(g, u, v, k) is None:
         adj = g.adj_mask
@@ -63,9 +66,11 @@ def _step(g, cur, u, v, k, out):
             unseen ^= new
             levels.append(new)
         d = len(levels) - 1  # the depth of v
+        anc = [u] * (d + 1)  # v's ancestor at each depth; u, on no other level, is none
         while d > k:
+            _ancestors(adj, levels, anc, v, d)
             dw = d - k + 1
-            w = _ancestor(adj, levels, v, d, dw)
+            w = anc[dw]
             occupied = cur >> w & 1
             near = adj[w] & cur
             if not occupied and not near:
@@ -89,24 +94,27 @@ def _step(g, cur, u, v, k, out):
     return cur
 
 
-def _ancestor(adj, levels, x, d, j):
-    """The BFS ancestor at depth j < d of x at depth d: the candidate sets
-    X_i (module docstring) are built down to depth j and on until one holds
-    a single vertex, the ancestor at its depth; then each ancestor up to
-    depth j is the lowest vertex of its set adjacent to the one below."""
-    d -= 1
-    cand = adj[x] & levels[d]  # X_{d-1}
-    sets = []  # X_j, X_{j-1}, ... above the one-vertex set
-    while d > j or cand & (cand - 1):
-        if d <= j:
-            sets.append(cand)
+def _ancestors(adj, levels, anc, x, d):
+    """Make anc[i] the BFS ancestor at depth i of x at depth d, for every
+    i <= d: the candidate sets X_i (module docstring) are built down to a
+    one-vertex set that anc already holds at its depth, at the latest X_0 =
+    {u}. Each one-vertex set is recorded as it is met; each wider one is
+    climbed back, its ancestor the lowest vertex adjacent to the one below."""
+    wide = []  # (i, X_i) for the sets of more than one vertex
+    cand = 1 << x
+    while True:
+        if cand & (cand - 1):
+            wide.append((d, cand))
+        else:
+            y = cand.bit_length() - 1
+            if anc[d] == y:
+                break
+            anc[d] = y
         d -= 1
         cand = _neighbourhood(adj, cand) & levels[d]
-    y = cand.bit_length() - 1
-    for cand in reversed(sets):
-        cand &= adj[y]
-        y = (cand & -cand).bit_length() - 1
-    return y
+    for d, cand in reversed(wide):
+        cand &= adj[anc[d - 1]]
+        anc[d] = (cand & -cand).bit_length() - 1
 
 
 def _emit(g, cur, src, dst, k, out):

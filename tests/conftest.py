@@ -24,6 +24,21 @@ def path_graph(n):
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def ladder_graph(rungs):
+    """The 2 x rungs ladder numbered by rungs: vertex 2c + r is row r of
+    rung c."""
+    edges = [(2 * c, 2 * c + 1) for c in range(rungs)]
+    edges += [(2 * c + r, 2 * c + 2 + r) for c in range(rungs - 1) for r in (0, 1)]
+    return build_graph(2 * rungs, edges)
+
+
+def grid_graph(side):
+    """The side x side grid numbered by rows: vertex r * side + c."""
+    edges = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
+    edges += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
+    return build_graph(side * side, edges)
+
+
 def cycle_graph(n):
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 

@@ -4,14 +4,14 @@ import time
 
 import pytest
 
-from kjump import engine, simulate
+from kjump import engine, graph, simulate
 from kjump.engine import Move, MoveSequence, _ball, _to_mask, validate_sequence
 from kjump.generators import random_connected_graph, random_independent_set
 from kjump.graph import GraphError, build_graph, diameter, dist, is_independent
 from kjump.reduction import build_instance
 from kjump.simulate import (
     SimulationError,
-    _ancestor,
+    _ancestors,
     _emit,
     simulate_move,
     simulate_sequence,
@@ -21,6 +21,8 @@ from conftest import (
     exhaustive_e3_formulas,
     independent_sets,
     naive_shortest_path,
+    grid_graph,
+    ladder_graph,
     path_graph,
     random_graphs,
     star_graph,
@@ -264,12 +266,13 @@ def _crowded_jumps(g, base, rng, count, k):
     return jumps
 
 
-def test_ancestor_is_the_queue_bfs_path_vertex():
-    # For every x and every depth j below it, _ancestor gives the depth-j
-    # vertex of the queue BFS path u .. x. Paths have one vertex per level,
-    # so every descent ends on the one-vertex set at depth j; reduction
-    # instances at k = 3..7 and random connected graphs have wide levels,
-    # where it must go on below j until a set holds one vertex.
+def test_ancestors_are_the_queue_bfs_path():
+    # _ancestors gives every vertex of the queue BFS path u .. x, read from
+    # a list that holds no ancestor (it descends to X_0 = {u}) and again over
+    # the path of another vertex x0 at least as deep, where it stops at the
+    # first one-vertex X_i on that path, or reads nothing when x is on it.
+    # Paths have one vertex per level; reduction instances at k = 3..7 and
+    # random connected graphs have wide levels, whose sets are climbed back.
     rng = random.Random(27)
     graphs = [path_graph(n) for n in (2, 9, 40)]
     formulas = exhaustive_e3_formulas()
@@ -282,19 +285,27 @@ def test_ancestor_is_the_queue_bfs_path_vertex():
         levels = [0] * (max(row.values()) + 1)
         for y, i in row.items():
             levels[i] |= 1 << y
+        paths = {x: naive_shortest_path(g, u, x) for x in row}
         for x, d in row.items():
-            path = naive_shortest_path(g, u, x)
+            anc = [u] * len(levels)
+            _ancestors(g.adj_mask, levels, anc, x, d)
+            assert anc[: d + 1] == paths[x]
             back = _bfs_row(g, x)
-            for j in range(d):
-                assert _ancestor(g.adj_mask, levels, x, d, j) == path[j]
-                # the depth where the descent ends: the deepest i <= j whose
-                # X_i, the depth-i vertices on shortest u-x paths, is one vertex
+            # X_i: the depth-i vertices on shortest u-x paths
+            sizes = [sum(row[y] == i and back[y] == d - i for y in row) for i in range(d + 1)]
+            for x0, d0 in row.items():
+                if d0 < d:
+                    continue
+                anc = paths[x0] + [u] * (len(levels) - d0 - 1)
+                _ancestors(g.adj_mask, levels, anc, x, d)
+                assert anc[: d + 1] == paths[x]
                 end = max(
-                    i for i in range(j + 1)
-                    if sum(row[y] == i and back[y] == d - i for y in row) == 1
+                    i for i in range(d + 1)
+                    if sizes[i] == 1 and paths[x][i] == paths[x0][i]
                 )
-                ends["at j" if end == j else "below j"] += 1
-    assert min(ends["at j"], ends["below j"]) >= 200, ends
+                ends["at x" if end == d else "at u" if end == 0 else "between"] += 1
+                ends["wide"] += any(n > 1 for n in sizes[end:])
+    assert min(ends.values()) >= 200, ends
 
 
 def test_blocked_cases_off_the_path_match_per_iteration_paths():
@@ -347,6 +358,51 @@ def test_blocked_long_path_jump_scales_linearly():
     assert out.final() == c - {0} | {n - 1}
     assert validate_sequence(g, out, 3)
     assert elapsed < 3.0
+
+
+def _spread_tokens(g, step):
+    """0 and every step-th vertex after it that keeps the set independent
+    and off the neighbourhood of n - 1."""
+    c, taken = {0}, 1 | g.adj_mask[g.n - 1]
+    for x in range(step, g.n - 1, step):
+        if not (g.adj_mask[x] | 1 << x) & taken:
+            c.add(x)
+            taken |= 1 << x
+    return c
+
+
+def _timed_jump_with_count(monkeypatch, g, c):
+    """simulate_move(g, c, 0, n - 1, 3), its process time and the number of
+    neighbour unions the compiler took."""
+    calls = [0]
+
+    def counted(adj, mask):
+        calls[0] += 1
+        return graph._neighbourhood(adj, mask)
+
+    monkeypatch.setattr(simulate, "_neighbourhood", counted)
+    t0 = time.process_time()
+    out = simulate_move(g, c, 0, g.n - 1, 3)
+    elapsed = time.process_time() - t0
+    assert out.final() == c - {0} | {g.n - 1}
+    assert validate_sequence(g, out, 3)
+    return elapsed, calls[0]
+
+
+def test_wide_level_jumps_scale_linearly(monkeypatch):
+    # A rung-numbered ladder keeps two vertices in most candidate sets down
+    # to X_0, and on a grid they stay wide along the last column; reading
+    # the path again on each iteration took O(d^2 / k) unions (12 s on this
+    # ladder). One descent per jump reads all of v's ancestors, so a free
+    # jump takes d unions for the levels and d for that descent. A blocked
+    # case's u' descends only until it meets v's path (at most 8.2 d in all
+    # here, on the grid with a token on every 13th vertex).
+    for g, d in ((ladder_graph(5000), 5000), (grid_graph(100), 198)):
+        elapsed, calls = _timed_jump_with_count(monkeypatch, g, {0})
+        assert calls <= 2 * d and elapsed < 3.0, (calls, elapsed)
+        for step in (3, 7, 13):
+            elapsed, calls = _timed_jump_with_count(monkeypatch, g, _spread_tokens(g, step))
+            assert calls <= 10 * d and elapsed < 3.0, (step, calls, elapsed)
 
 
 # ---------------------------------------------------------------------------
