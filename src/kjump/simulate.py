@@ -11,7 +11,7 @@ The shortest path is the one a queue BFS from u gives when each vertex
 discovers its unseen neighbours in ascending order and keeps its first
 discoverer, so a vertex's parent is the first queued of its neighbours one
 level down. It is read off the BFS levels from u, held as masks (L_0 = {u},
-L_{j+1} = N(L_j) & unseen), with no queue and no parents kept. For x at
+L_{j+1} = N(L_j) & unseen), with no queue and no parent per vertex. For x at
 depth d let X_d = {x} and X_j = N(X_{j+1}) & L_j. Each vertex of X_j has
 its parent in X_{j-1}, and a vertex of X_j queues before another when its
 parent does, or when they share a parent and its id is lower. So the first
@@ -66,7 +66,7 @@ def _step(g, cur, u, v, k, out):
             unseen ^= new
             levels.append(new)
         d = len(levels) - 1  # the depth of v
-        anc = [u] * (d + 1)  # v's ancestor at each depth; u, on no other level, is none
+        anc = [u] * (d + 1)  # v's ancestors by depth; u (level 0 only) where unread
         while d > k:
             _ancestors(adj, levels, anc, v, d)
             dw = d - k + 1
@@ -95,11 +95,13 @@ def _step(g, cur, u, v, k, out):
 
 
 def _ancestors(adj, levels, anc, x, d):
-    """Make anc[i] the BFS ancestor at depth i of x at depth d, for every
-    i <= d: the candidate sets X_i (module docstring) are built down to a
-    one-vertex set that anc already holds at its depth, at the latest X_0 =
-    {u}. Each one-vertex set is recorded as it is met; each wider one is
-    climbed back, its ancestor the lowest vertex adjacent to the one below."""
+    """Make anc[:d + 1] the BFS ancestors of x at depth d, by depth, where
+    anc[:d + 1] holds those of another vertex at depth d, or u where unread.
+    The candidate sets X_i (module docstring) are built down to a one-vertex
+    set whose vertex anc holds at its depth, at the latest X_0 = {u}; the
+    ancestors below it are shared. Each one-vertex set is recorded as it is
+    met; each wider one is climbed back, its ancestor the lowest vertex
+    adjacent to the one below."""
     wide = []  # (i, X_i) for the sets of more than one vertex
     cand = 1 << x
     while True:

@@ -392,11 +392,12 @@ def _timed_jump_with_count(monkeypatch, g, c):
 def test_wide_level_jumps_scale_linearly(monkeypatch):
     # A rung-numbered ladder keeps two vertices in most candidate sets down
     # to X_0, and on a grid they stay wide along the last column; reading
-    # the path again on each iteration took O(d^2 / k) unions (12 s on this
-    # ladder). One descent per jump reads all of v's ancestors, so a free
-    # jump takes d unions for the levels and d for that descent. A blocked
-    # case's u' descends only until it meets v's path (at most 8.2 d in all
-    # here, on the grid with a token on every 13th vertex).
+    # the path again on each iteration took O(d^2 / k) unions (12 s for the
+    # free ladder jump on a 2-vCPU host). One descent per jump reads all of
+    # v's ancestors, so a free jump takes d unions for the levels and d for
+    # that descent. A blocked case's u' descends only until a one-vertex
+    # set lies on v's path (8.2 d unions in all on the grid with a token on
+    # every 13th vertex).
     for g, d in ((ladder_graph(5000), 5000), (grid_graph(100), 198)):
         elapsed, calls = _timed_jump_with_count(monkeypatch, g, {0})
         assert calls <= 2 * d and elapsed < 3.0, (calls, elapsed)
