@@ -8,26 +8,29 @@ Each side is a clean local clone of the repository at its commit (CHANGE
 defaults to HEAD), made as `bench_pair.py` makes them. The reduction cases
 are the planted E3-CNF formulas of `perfbench.workloads.planted_e3cnf`
 (seed 1) at m = n = 300 and 1000, or at m = n = 10 with --quick, reduced at
-k = 3. Per size and pair, each side runs `python -m kjump.cli reduce` on the
-formula and then `kjump stats` on its own reduce output. The compiler cases
-are graphs of 10,000, 20,000 and 40,000 vertices, or of 200 with --quick,
-given as edge lists: the path, with one vertex per BFS level, and the
-ladder of n / 2 rungs numbered by rungs (vertex 2c + r is row r of rung
-c), whose levels from 0 hold two vertices. Per graph, size and pair, each
-side runs `kjump simulate` at k = 3 on the one Token Jumping move
-0 -> n - 1, once from {0} (free) and once with tokens on range(0, n - 3, 7)
-(blocked). Every
-command runs in a fresh child process; which side goes first alternates
-from pair to pair. A run records its wall time, its process time (user +
-system) and the child's `ru_maxrss`, read by `os.wait4` for that child
-alone, with its exit code and the sha256 of its stdout. Per case the file
-gives each side's medians and the change's wall-time ratio to the
-parent's. The ladder sets no gate; it records numbers.
+k = 3: `python -m kjump.cli reduce` on the formula, then `kjump stats` on
+that side's reduce output. The compiler cases are graphs of 10,000, 20,000
+and 40,000 vertices, or of 200 with --quick, given as edge lists: the path,
+with one vertex per BFS level, and the ladder of n / 2 rungs numbered by
+rungs (vertex 2c + r is row r of rung c), whose levels from 0 hold two
+vertices. On each, `kjump simulate` at k = 3 runs the one Token Jumping
+move 0 -> n - 1, once from {0} (free) and once with tokens on
+range(0, n - 3, 7) (blocked).
+
+`groups` writes every input once and returns the cases as a table of
+groups; one loop runs it. All pairs of a group finish before the next group
+starts, and on each side a group's cases run back to back, so stats reads
+its own side's reduce output. Every command runs in a fresh child process;
+which side goes first alternates from pair to pair. A run records its wall
+time, its process time (user + system) and the child's `ru_maxrss`, read by
+`os.wait4` for that child alone, with its exit code and the sha256 of its
+stdout. Per case the file gives each side's medians and the change's
+wall-time ratio to the parent's. The ladder sets no gate; it records
+numbers.
 """
 
 import argparse
 import hashlib
-import itertools
 import json
 import os
 import random
@@ -40,19 +43,20 @@ import time
 
 from bench_pair import ROOT, SIDES, _git, clone, machine, src_lines
 
+# this checkout's perfbench writes the formulas, so both sides reduce the same
+sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
+from perfbench.workloads import planted_e3cnf  # noqa: E402
+
 SIZES = (300, 1000)
 QUICK_SIZES = (10,)
 JUMP_SIZES = (10_000, 20_000, 40_000)
 QUICK_JUMP_SIZES = (200,)
 K = 3
+CLI = (sys.executable, "-m", "kjump.cli")
 
 
 def formula(size):
-    """The planted E3-CNF text with m = n = size, seed 1, from this
-    checkout's perfbench, so that both sides reduce the same formula."""
-    sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
-    from perfbench.workloads import planted_e3cnf
-
+    """The planted E3-CNF text with m = n = size, seed 1."""
     return planted_e3cnf(size, size, random.Random(1))[0]
 
 
@@ -64,33 +68,48 @@ def graph_edges(graph, n):
     return rungs + [(x, x + 2) for x in range(n - 2)]
 
 
-def jump_files(tmp, graph, n):
-    """Write the n-vertex graph as an edge list and the two one-move
-    sequences 0 -> n - 1, free and blocked; returns their paths."""
-    edges = graph_edges(graph, n)
-    path = os.path.join(tmp, f"{graph}_{n}.txt")
+def write(tmp, name, text):
+    """Write text to the file name in tmp; returns its path."""
+    path = os.path.join(tmp, name)
     with open(path, "w") as fh:
-        fh.write(f"p edge {n} {len(edges)}\n")
-        fh.writelines(f"e {x + 1} {y + 1}\n" for x, y in edges)
-    seqs = {}
-    for case, start in (("free", [0]), ("blocked", list(range(0, n - 3, 7)))):
-        seqs[case] = os.path.join(tmp, f"{graph}_{case}_{n}.json")
-        with open(seqs[case], "w") as fh:
-            json.dump({"start": start, "moves": [[0, n - 1]], "k": n - 1}, fh)
-    return path, seqs
+        fh.write(text)
+    return path
+
+
+def groups(tmp, quick):
+    """Write every input once in tmp; returns the cases in the order they
+    run, as groups of (name, child argv, stdout path) rows."""
+    out, doc = os.path.join(tmp, "case.out"), os.path.join(tmp, "reduce.json")
+    table = []
+    for size in QUICK_SIZES if quick else SIZES:
+        cnf = write(tmp, f"planted_{size}.cnf", formula(size))
+        table.append([
+            (f"reduce_{size}", [*CLI, "reduce", cnf, "--k", str(K)], doc),
+            (f"stats_{size}", [*CLI, "stats", doc], out),
+        ])
+    for graph in ("path", "ladder"):
+        for n in QUICK_JUMP_SIZES if quick else JUMP_SIZES:
+            edges = graph_edges(graph, n)
+            path = write(tmp, f"{graph}_{n}.txt", f"p edge {n} {len(edges)}\n"
+                         + "".join(f"e {x + 1} {y + 1}\n" for x, y in edges))
+            group = []
+            for case, start in (("free", [0]), ("blocked", list(range(0, n - 3, 7)))):
+                seq = json.dumps({"start": start, "moves": [[0, n - 1]], "k": n - 1})
+                argv = [*CLI, "simulate", path, write(tmp, f"{graph}_{case}_{n}.json", seq),
+                        "--k", str(K), "--format", "edgelist"]
+                group.append((f"simulate_{graph}_{case}_{n}", argv, out))
+            table.append(group)
+    return table
 
 
 def run_child(checkout, argv, out_path):
-    """Run `python -m kjump.cli argv` in checkout with stdout to out_path;
-    returns its wall and process seconds, peak RSS, exit code and stdout
-    digest."""
+    """Run argv in checkout, with its src on the path and stdout to
+    out_path; returns its wall and process seconds, peak RSS, exit code and
+    stdout digest."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
     with open(out_path, "wb") as out, tempfile.TemporaryFile() as err:
         start = time.perf_counter()
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "kjump.cli", *argv],
-            cwd=checkout, env=env, stdout=out, stderr=err,
-        )
+        proc = subprocess.Popen(argv, cwd=checkout, env=env, stdout=out, stderr=err)
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
         proc.returncode = code = os.waitstatus_to_exitcode(status)
@@ -137,8 +156,6 @@ def main(argv=None):
     p.add_argument("--quick", action="store_true", help="m = n = 10 and n = 200 only")
     p.add_argument("--out", required=True)
     args = p.parse_args(argv)
-    sizes = QUICK_SIZES if args.quick else SIZES
-    jump_sizes = QUICK_JUMP_SIZES if args.quick else JUMP_SIZES
 
     tmp = tempfile.mkdtemp(prefix="scale_ladder-")
     try:
@@ -147,35 +164,13 @@ def main(argv=None):
         lines = {side: src_lines(dirs[side]) for side in SIDES}
         what = _git(ROOT, "log", "-1", "--format=%s", commits["change"])
         cases = {}
-        for size in sizes:
-            cnf = os.path.join(tmp, f"planted_{size}.cnf")
-            with open(cnf, "w") as fh:
-                fh.write(formula(size))
-            runs = {f"{cmd}_{size}": {side: [] for side in SIDES} for cmd in ("reduce", "stats")}
+        for group in groups(tmp, args.quick):
+            runs = {name: {side: [] for side in SIDES} for name, _, _ in group}
             for i in range(args.pairs):
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                    print(f"m = n = {size} pair {i + 1}: {side}", file=sys.stderr, flush=True)
-                    doc = os.path.join(tmp, f"{side}_{size}.json")
-                    runs[f"reduce_{size}"][side].append(
-                        run_child(dirs[side], ["reduce", cnf, "--k", str(K)], doc)
-                    )
-                    runs[f"stats_{size}"][side].append(
-                        run_child(dirs[side], ["stats", doc], os.path.join(tmp, "stats.out"))
-                    )
-                    os.remove(doc)
-            cases.update((name, summarize(r)) for name, r in runs.items())
-        for graph, n in itertools.product(("path", "ladder"), jump_sizes):
-            path, seqs = jump_files(tmp, graph, n)
-            names = {case: f"simulate_{graph}_{case}_{n}" for case in seqs}
-            runs = {name: {side: [] for side in SIDES} for name in names.values()}
-            for i in range(args.pairs):
-                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                    print(f"{graph} n = {n} pair {i + 1}: {side}", file=sys.stderr, flush=True)
-                    for case, seq in seqs.items():
-                        argv = ["simulate", path, seq, "--k", str(K), "--format", "edgelist"]
-                        runs[names[case]][side].append(
-                            run_child(dirs[side], argv, os.path.join(tmp, "simulate.out"))
-                        )
+                    print(f"{group[0][0]} pair {i + 1}: {side}", file=sys.stderr, flush=True)
+                    for name, child, out in group:
+                        runs[name][side].append(run_child(dirs[side], child, out))
             cases.update((name, summarize(r)) for name, r in runs.items())
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
