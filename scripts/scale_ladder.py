@@ -117,7 +117,7 @@ def run_child(checkout, argv, out_path):
             err.seek(0)
             sys.stderr.write(err.read().decode(errors="replace"))
     with open(out_path, "rb") as fh:
-        digest = hashlib.file_digest(fh, "sha256").hexdigest()
+        digest = hashlib.sha256(fh.read()).hexdigest()
     return {
         "wall_s": round(wall, 3),
         "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
