@@ -1,7 +1,7 @@
-"""Time `kjump reduce`, `kjump stats` and `kjump simulate` at documented
-scale on two commits.
+"""Time kjump's CLI commands and library calls at documented scale on two
+commits.
 
-    python scripts/scale_ladder.py PARENT [CHANGE] --out LADDER_27.json
+    python scripts/scale_ladder.py PARENT [CHANGE] --out LADDER_28.json
     python scripts/scale_ladder.py HEAD --quick --out /tmp/ladder.json
 
 Each side is a clean local clone of the repository at its commit (CHANGE
@@ -15,7 +15,12 @@ with one vertex per BFS level, and the ladder of n / 2 rungs numbered by
 rungs (vertex 2c + r is row r of rung c), whose levels from 0 hold two
 vertices. On each, `kjump simulate` at k = 3 runs the one Token Jumping
 move 0 -> n - 1, once from {0} (free) and once with tokens on
-range(0, n - 3, 7) (blocked).
+range(0, n - 3, 7) (blocked). The library cases run `python -c` on one
+input each: `parse_edgelist` and then `dist(g, 0, n - 1)` on the largest
+path, `build_instance` at k = 3 and then `lower_bound_moves` on the largest
+formula, and `reachable_configs` of the tokens range(0, 12, 2) on the
+45-vertex path at k = 44, or of range(0, 6, 2) on the 12-vertex path at
+k = 11 with --quick. Each prints one line.
 
 `groups` writes every input once and returns the cases as a table of
 groups; one loop runs it. All pairs of a group finish before the next group
@@ -53,19 +58,14 @@ JUMP_SIZES = (10_000, 20_000, 40_000)
 QUICK_JUMP_SIZES = (200,)
 K = 3
 CLI = (sys.executable, "-m", "kjump.cli")
+# a library case's child runs its code after this, with `text` the file it
+# is given; the code calls only names that every compared commit has
+SNIPPET = "import sys\nfrom kjump import engine, graph, reduction\ntext = open(sys.argv[1]).read()\n"
 
 
 def formula(size):
     """The planted E3-CNF text with m = n = size, seed 1."""
     return planted_e3cnf(size, size, random.Random(1))[0]
-
-
-def graph_edges(graph, n):
-    """The edges of the n-vertex path or rung-numbered ladder."""
-    if graph == "path":
-        return [(i, i + 1) for i in range(n - 1)]
-    rungs = [(c, c + 1) for c in range(0, n, 2)]
-    return rungs + [(x, x + 2) for x in range(n - 2)]
 
 
 def write(tmp, name, text):
@@ -76,29 +76,55 @@ def write(tmp, name, text):
     return path
 
 
+def edgelist(tmp, graph, n):
+    """Write the n-vertex path or rung-numbered ladder as an edge list in
+    tmp; returns its path."""
+    if graph == "path":
+        edges = [(i, i + 1) for i in range(n - 1)]
+    else:
+        edges = [(c, c + 1) for c in range(0, n, 2)] + [(x, x + 2) for x in range(n - 2)]
+    return write(tmp, f"{graph}_{n}.txt", f"p edge {n} {len(edges)}\n"
+                 + "".join(f"e {x + 1} {y + 1}\n" for x, y in edges))
+
+
 def groups(tmp, quick):
     """Write every input once in tmp; returns the cases in the order they
     run, as groups of (name, child argv, stdout path) rows."""
+    sizes, jump_sizes = (QUICK_SIZES, QUICK_JUMP_SIZES) if quick else (SIZES, JUMP_SIZES)
+    cnfs = {size: write(tmp, f"planted_{size}.cnf", formula(size)) for size in sizes}
+    graphs = {(g, n): edgelist(tmp, g, n) for g in ("path", "ladder") for n in jump_sizes}
     out, doc = os.path.join(tmp, "case.out"), os.path.join(tmp, "reduce.json")
     table = []
-    for size in QUICK_SIZES if quick else SIZES:
-        cnf = write(tmp, f"planted_{size}.cnf", formula(size))
+    for size, cnf in cnfs.items():
         table.append([
             (f"reduce_{size}", [*CLI, "reduce", cnf, "--k", str(K)], doc),
             (f"stats_{size}", [*CLI, "stats", doc], out),
         ])
-    for graph in ("path", "ladder"):
-        for n in QUICK_JUMP_SIZES if quick else JUMP_SIZES:
-            edges = graph_edges(graph, n)
-            path = write(tmp, f"{graph}_{n}.txt", f"p edge {n} {len(edges)}\n"
-                         + "".join(f"e {x + 1} {y + 1}\n" for x, y in edges))
-            group = []
-            for case, start in (("free", [0]), ("blocked", list(range(0, n - 3, 7)))):
-                seq = json.dumps({"start": start, "moves": [[0, n - 1]], "k": n - 1})
-                argv = [*CLI, "simulate", path, write(tmp, f"{graph}_{case}_{n}.json", seq),
-                        "--k", str(K), "--format", "edgelist"]
-                group.append((f"simulate_{graph}_{case}_{n}", argv, out))
-            table.append(group)
+    for (graph, n), path in graphs.items():
+        group = []
+        for case, start in (("free", [0]), ("blocked", list(range(0, n - 3, 7)))):
+            seq = json.dumps({"start": start, "moves": [[0, n - 1]], "k": n - 1})
+            argv = [*CLI, "simulate", path, write(tmp, f"{graph}_{case}_{n}.json", seq),
+                    "--k", str(K), "--format", "edgelist"]
+            group.append((f"simulate_{graph}_{case}_{n}", argv, out))
+        table.append(group)
+    # library calls, one group each: the longest path, the largest formula,
+    # and every independent set of `tokens` vertices on a short path at k = n - 1
+    n, size = jump_sizes[-1], sizes[-1]
+    reach, tokens = (12, 3) if quick else (45, 6)
+    parse = "g = graph.parse_edgelist(text)\n"
+    calls = {
+        f"parse_path_{n}": (parse + "print(g.n, g.m)", graphs["path", n]),
+        f"dist_path_{n}": (parse + "print(graph.dist(g, 0, g.n - 1))", graphs["path", n]),
+        f"bound_{size}": (
+            f"i = reduction.build_instance(reduction.parse_e3cnf(text), {K})\n"
+            "print(engine.lower_bound_moves(i.graph, i.start, i.target, i.k))", cnfs[size]),
+        f"reachable_path_{reach}": (
+            parse + f"print(len(engine.reachable_configs(g, range(0, {2 * tokens}, 2), g.n - 1)))",
+            edgelist(tmp, "path", reach)),
+    }
+    for name, (code, path) in calls.items():
+        table.append([(name, [sys.executable, "-c", SNIPPET + code, path], out)])
     return table
 
 
@@ -153,7 +179,7 @@ def main(argv=None):
     p.add_argument("parent")
     p.add_argument("change", nargs="?", default="HEAD")
     p.add_argument("--pairs", type=int, default=3)
-    p.add_argument("--quick", action="store_true", help="m = n = 10 and n = 200 only")
+    p.add_argument("--quick", action="store_true", help="m = n = 10, n = 200 and the 12-vertex path only")
     p.add_argument("--out", required=True)
     args = p.parse_args(argv)
 
@@ -182,9 +208,13 @@ def main(argv=None):
             f"python -m kjump.cli reduce <planted m = n formula, seed 1> --k {K}, then"
             " kjump stats on that side's output; kjump simulate <n-vertex path or"
             " rung-numbered ladder edge list> <move 0 -> n - 1 from {0} or"
-            f" range(0, n - 3, 7)> --k {K}"
-            " --format edgelist; one child process per command, each side in its"
-            " own clean clone, the side that runs first alternating from pair to pair"
+            f" range(0, n - 3, 7)> --k {K} --format edgelist; python -c: parse_edgelist,"
+            " then dist(g, 0, n - 1), on the largest path; build_instance at"
+            f" k = {K}, then lower_bound_moves, on the largest formula;"
+            " len(reachable_configs) of range(0, 12, 2) on the 45-vertex path, or of"
+            " range(0, 6, 2) on the 12-vertex path, at k = n - 1; one child process"
+            " per command, each side in its own clean clone, the side that runs"
+            " first alternating from pair to pair"
         ),
         **{side: {"commit": commits[side], "src_lines": lines[side]} for side in SIDES},
         "pairs": args.pairs,

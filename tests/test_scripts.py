@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -135,6 +136,7 @@ def test_scale_ladder_quick_writes_its_schema(tmp_path):
         "reduce_10", "stats_10",
         "simulate_path_free_200", "simulate_path_blocked_200",
         "simulate_ladder_free_200", "simulate_ladder_blocked_200",
+        "parse_path_200", "dist_path_200", "bound_10", "reachable_path_12",
     ]
     for case in doc["cases"].values():
         assert list(case) == [
@@ -147,3 +149,9 @@ def test_scale_ladder_quick_writes_its_schema(tmp_path):
             for run in case["runs"][side]:
                 assert set(run) == {"wall_s", "cpu_s", "maxrss_mb", "exit", "stdout_sha256"}
                 assert run["wall_s"] > 0 and run["maxrss_mb"] > 0
+    # each library case prints one known line; 120 = C(10, 3) independent
+    # 3-sets of the 12-vertex path, 40 = 2(m + n) at m = n = 10
+    for name, line in [("parse_path_200", "200 199"), ("dist_path_200", "199"),
+                       ("bound_10", "40"), ("reachable_path_12", "120")]:
+        digest = hashlib.sha256(f"{line}\n".encode()).hexdigest()
+        assert doc["cases"][name]["runs"]["parent"][0]["stdout_sha256"] == digest
