@@ -102,6 +102,7 @@ def _check_k(k):
 def k_adjacent(g, a, b, k):
     """Single-token relation: |a \\ b| = |b \\ a| = 1 and the pair is within
     distance k."""
+    _check_k(k)
     _check_config(g, a, "first configuration")
     _check_config(g, b, "second configuration")
     a, b = frozenset(a), frozenset(b)

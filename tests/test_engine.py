@@ -823,6 +823,8 @@ def test_every_search_rejects_k_below_one(k):
         lambda: decide(g, {0}, {3}, k),
         lambda: shortest(g, {0}, {3}, k),
         lambda: exists_within(g, {0}, {3}, k, 3),
+        lambda: k_adjacent(g, {0}, {1}, k),
+        lambda: lower_bound_moves(g, {0}, {3}, k),
     ]
     for call in calls:
         with pytest.raises(GraphError, match="at least 1"):
