@@ -78,13 +78,16 @@ def write(tmp, name, text):
 
 def edgelist(tmp, graph, n):
     """Write the n-vertex path or rung-numbered ladder as an edge list in
-    tmp; returns its path."""
-    if graph == "path":
-        edges = [(i, i + 1) for i in range(n - 1)]
-    else:
-        edges = [(c, c + 1) for c in range(0, n, 2)] + [(x, x + 2) for x in range(n - 2)]
-    return write(tmp, f"{graph}_{n}.txt", f"p edge {n} {len(edges)}\n"
-                 + "".join(f"e {x + 1} {y + 1}\n" for x, y in edges))
+    tmp; returns its path. Lines are written as they are made: a child's
+    `ru_maxrss` starts from this process's peak, which must stay small."""
+    step = 1 if graph == "path" else 2
+    rungs, rails = range(0, n, 2) if step == 2 else range(0), range(n - step)
+    path = os.path.join(tmp, f"{graph}_{n}.txt")
+    with open(path, "w") as fh:
+        fh.write(f"p edge {n} {len(rungs) + len(rails)}\n")
+        fh.writelines(f"e {c + 1} {c + 2}\n" for c in rungs)
+        fh.writelines(f"e {x + 1} {x + step + 1}\n" for x in rails)
+    return path
 
 
 def groups(tmp, quick):
@@ -142,14 +145,16 @@ def run_child(checkout, argv, out_path):
         if code != 0:
             err.seek(0)
             sys.stderr.write(err.read().decode(errors="replace"))
+    digest = hashlib.sha256()
     with open(out_path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
     return {
         "wall_s": round(wall, 3),
         "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
         "maxrss_mb": round(usage.ru_maxrss / 1024, 1),  # kB on Linux
         "exit": code,
-        "stdout_sha256": digest,
+        "stdout_sha256": digest.hexdigest(),
     }
 
 
