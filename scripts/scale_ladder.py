@@ -81,7 +81,8 @@ def edgelist(tmp, graph, n):
     tmp; returns its path. Lines are written as they are made: a child's
     `ru_maxrss` starts from this process's peak, which must stay small."""
     step = 1 if graph == "path" else 2
-    rungs, rails = range(0, n, 2) if step == 2 else range(0), range(n - step)
+    rungs = range(0, n, 2) if graph == "ladder" else range(0)  # edges c -- c + 1
+    rails = range(n - step)  # edges x -- x + step
     path = os.path.join(tmp, f"{graph}_{n}.txt")
     with open(path, "w") as fh:
         fh.write(f"p edge {n} {len(rungs) + len(rails)}\n")
