@@ -433,29 +433,74 @@ def diameter_and_bound(g, s, t, k):
     """The diameter of g (None when g is empty or disconnected) and
     `lower_bound_moves(g, s, t, k)`, from one run of `ball_levels`.
 
-    Entry (i, j) of the cost table is ceil(d / k) for the first level d
-    whose ball of the i-th start vertex holds the j-th target vertex (both
-    ascending), and _UNREACHABLE when no level's does."""
+    The cost of the i-th start vertex and the j-th target vertex (both
+    ascending) is ceil(d / k) for the first level d whose ball of the start
+    holds the target, and _UNREACHABLE when no level's does. So the balls at
+    levels 0, k, 2k, ... and the last split each start's targets into cost
+    classes, kept as masks, and no cost table is built unless needed.
+
+    The warm start of `_min_cost_matching` is read off those masks: u_i is
+    row i's lowest cost, v_j the lowest reduced cost c - u_i of target j
+    over the rows, and row i takes the lowest free target that is tight
+    (c - u_i = v_j), the pairs the dense greedy pass takes. u and v are
+    dual feasible, so when every row is matched the matching is optimal and
+    its cost is sum(u) + sum(v), by LP duality; so it was on every reduction
+    instance tried. Otherwise the cost table is read off the masks and
+    `_min_cost_matching` solves it."""
     s, t = _check_pair(g, s, t, k)
     starts, tvs = sorted(s), sorted(t)
-    col = {v: j for j, v in enumerate(tvs)}
-    left = [_to_mask(tvs)] * len(starts)  # the targets row i has not met
-    # int32 rows, half the size of lists of ints: every cost is at most n or
-    # _UNREACHABLE = 10**9 < 2**31
-    rows = [array("i", [_UNREACHABLE]) * len(tvs) for _ in starts]
+    tmask = _to_mask(tvs)
+    within = []  # within[c][i]: the targets at cost at most c from start i
     d = balls = None
     for d, balls in enumerate(ball_levels(g)):
-        cost = -(-d // k)
-        for i, u in enumerate(starts):
-            hit = balls[u] & left[i]
-            if hit:
-                left[i] ^= hit
-                row = rows[i]
-                for v in _bits(hit):
-                    row[col[v]] = cost
+        if d % k == 0:
+            within.append([balls[u] & tmask for u in starts])
+    if d is not None and d % k:
+        within.append([balls[u] & tmask for u in starts])
     if balls is None or balls[0] != (1 << g.n) - 1:
         d = None
-    total = _min_cost_matching(rows)
+    classes = []  # per start, its (cost, targets) pairs by ascending cost
+    for levels in zip(*within):
+        row, had = [], 0
+        for c, m in enumerate(levels):
+            if m != had:
+                row.append((c, m ^ had))
+                had = m
+        if had != tmask:
+            row.append((_UNREACHABLE, tmask ^ had))
+        classes.append(row)
+    u = [row[0][0] for row in classes]
+    reduced = {}  # reduced cost -> the targets some row has at it
+    for ui, row in zip(u, classes):
+        for c, m in row:
+            reduced[c - ui] = reduced.get(c - ui, 0) | m
+    v = {}  # a value of v_j -> the targets j that take it
+    had = 0
+    for rc in sorted(reduced):
+        if reduced[rc] & ~had:
+            v[rc] = reduced[rc] & ~had
+            had |= reduced[rc]
+    free = tmask
+    for ui, row in zip(u, classes):
+        tight = 0
+        for c, m in row:
+            tight |= m & v.get(c - ui, 0)
+        tight &= free
+        if not tight:
+            break
+        free ^= tight & -tight
+    if free:  # the greedy pass left a row free
+        col = {x: j for j, x in enumerate(tvs)}
+        # int32 rows, half the size of lists of ints: every cost is at most
+        # n or _UNREACHABLE = 10**9 < 2**31
+        rows = [array("i", [_UNREACHABLE]) * len(tvs) for _ in starts]
+        for dense, row in zip(rows, classes):
+            for c, m in row:
+                for x in _bits(m):
+                    dense[col[x]] = c
+        total = _min_cost_matching(rows)
+    else:
+        total = sum(u) + sum(rc * m.bit_count() for rc, m in v.items())
     return d, None if total >= _UNREACHABLE else total
 
 
@@ -468,9 +513,11 @@ def _min_cost_matching(cost):
     Warm start: u holds the row minima and v the column minima of the
     reduced costs, and a greedy pass matches tight entries (reduced cost 0)
     first. Only the rows it leaves free are augmented, each by one Dijkstra
-    search over reduced costs, O(r^2): none on the reduction's instances,
-    about a quarter of them on random costs, where the warm start halves
-    the time of a cold one (0.12 against 0.21 s at r = 300).
+    search over reduced costs, O(r^2): about a quarter of them on random
+    costs, where the warm start halves the time of a cold one (0.12 against
+    0.21 s at r = 300). `diameter_and_bound` reads the same warm start off
+    its cost classes and calls this only when the greedy pass leaves a row
+    free.
     """
     r = len(cost)
     u = [min(row) for row in cost]

@@ -469,6 +469,42 @@ def test_lower_bound_matches_naive_costs():
     assert min(connected.values()) >= 20
 
 
+def _lower_bound_queries():
+    """The (g, s, t, k) queries of test_lower_bound_matches_naive_costs."""
+    graphs = random_graphs(20, 9, seed=89) + random_graphs(10, 14, seed=92)
+    graphs += [path_graph(12), cycle_graph(13)]
+    halves = random_graphs(20, 5, seed=90)
+    graphs += [_disjoint_union(a, b) for a, b in zip(halves[::2], halves[1::2])]
+    graphs += [_with_isolated(g, 2) for g in random_graphs(10, 6, seed=91)]
+    for g in graphs:
+        sets = independent_sets(g, 4)
+        rng = random.Random(g.n * 13 + len(g.edges))
+        for _ in range(10):
+            s, t = rng.choice(sets), rng.choice(sets)
+            if len(s) == len(t):
+                for k in (1, 2, 3, 5):
+                    yield g, s, t, k
+
+
+def test_lower_bound_certificate_and_dense_paths(monkeypatch):
+    # the greedy pass on the cost-class masks either matches every row, and
+    # sum(u) + sum(v) is the bound with no cost table, or leaves one free,
+    # and the dense table goes to _min_cost_matching; both paths run on this
+    # corpus, bounded and unbounded, and both equal the brute force
+    dense = engine._min_cost_matching
+    calls = []
+    monkeypatch.setattr(
+        engine, "_min_cost_matching", lambda cost: calls.append(1) or dense(cost)
+    )
+    paths = collections.Counter()
+    for g, s, t, k in _lower_bound_queries():
+        before = len(calls)
+        want = _naive_lower_bound(g, s, t, k)
+        assert lower_bound_moves(g, s, t, k) == want
+        paths[len(calls) > before, want is None] += 1
+    assert len(paths) == 4 and min(paths.values()) >= 5, paths
+
+
 def _scipy_matching_total(cost):
     a = np.array(cost, dtype=np.int64)
     rows, cols = linear_sum_assignment(a)
@@ -528,6 +564,30 @@ def test_lower_bound_on_planted_reduction_instance():
     inst = build_instance(CnfFormula(n, tuple(clauses)), 3)
     assert len(inst.start) == 300
     assert lower_bound_moves(inst.graph, inst.start, inst.target, 3) == 2 * (m + n)
+
+
+def test_lower_bound_at_scale_on_planted_reduction_instance():
+    # m = n = 300 at k = 3 (4,200 vertices, 900 tokens): the greedy pass on
+    # the cost-class masks matches every row, so no 900 x 900 cost table is
+    # built (0.03-0.05 s, against 0.34-0.36 s with the table and its
+    # matching, on a 2 vCPU Xeon with CPython 3.11); the bound catches a
+    # cliff, not the factor
+    rng = random.Random(300)
+    n = m = 300
+    planted = [rng.random() < 0.5 for _ in range(n)]
+    clauses = []
+    for _ in range(m):
+        lits = [(v, rng.random() < 0.5) for v in rng.sample(range(n), 3)]
+        if not any(planted[v] == pos for v, pos in lits):
+            lits[0] = (lits[0][0], planted[lits[0][0]])
+        clauses.append(tuple(lits))
+    inst = build_instance(CnfFormula(n, tuple(clauses)), 3)
+    assert len(inst.start) == 900
+    t0 = time.process_time()
+    bound = lower_bound_moves(inst.graph, inst.start, inst.target, 3)
+    elapsed = time.process_time() - t0
+    assert bound == 2 * (m + n)
+    assert elapsed < 1.0
 
 
 # ---------------------------------------------------------------------------
