@@ -1,14 +1,14 @@
 """Time kjump's CLI commands and library calls at documented scale on two
 commits.
 
-    python scripts/scale_ladder.py PARENT [CHANGE] --out LADDER_28.json
+    python scripts/scale_ladder.py PARENT [CHANGE] --out LADDER_31.json
     python scripts/scale_ladder.py HEAD --quick --out /tmp/ladder.json
 
 Each side is a clean local clone of the repository at its commit (CHANGE
 defaults to HEAD), made as `bench_pair.py` makes them. The reduction cases
 are the planted E3-CNF formulas of `perfbench.workloads.planted_e3cnf`
 (seed 1) at m = n = 300 and 1000, or at m = n = 10 with --quick, reduced at
-k = 3: `python -m kjump.cli reduce` on the formula, then `kjump stats` on
+k = 3: `kjump reduce` on the formula, then `kjump stats` on
 that side's reduce output. The compiler cases are graphs of 10,000, 20,000
 and 40,000 vertices, or of 200 with --quick, given as edge lists: the path,
 with one vertex per BFS level, and the ladder of n / 2 rungs numbered by
@@ -18,18 +18,22 @@ move 0 -> n - 1, once from {0} (free) and once with tokens on
 range(0, n - 3, 7) (blocked). The library cases run `python -c` on one
 input each: `parse_edgelist` and then `dist(g, 0, n - 1)` on the largest
 path, `build_instance` at k = 3 and then `lower_bound_moves` on the largest
-formula, and `reachable_configs` of the tokens range(0, 12, 2) on the
-45-vertex path at k = 44, or of range(0, 6, 2) on the 12-vertex path at
-k = 11 with --quick. Each prints one line.
+formula, `lower_bound_moves` at k = 1 on the 60 x 60 grid (10 x 10 with
+--quick) from a `random.Random(1)` sample of 900 (25) cells with row +
+column even to one of as many odd cells, which has no dual certificate and
+solves the dense 900 x 900 matching, and `reachable_configs` of the tokens
+range(0, 12, 2) on the 45-vertex path at k = 44, or of range(0, 6, 2) on
+the 12-vertex path at k = 11 with --quick. Each prints one line.
 
 `groups` writes every input once and returns the cases as a table of
 groups; one loop runs it. All pairs of a group finish before the next group
 starts, and on each side a group's cases run back to back, so stats reads
 its own side's reduce output. Every command runs in a fresh child process;
 which side goes first alternates from pair to pair. A run records its wall
-time, its process time (user + system) and the child's `ru_maxrss`, read by
-`os.wait4` for that child alone, with its exit code and the sha256 of its
-stdout. Per case the file gives each side's medians and the change's
+time, its process time (user + system) read by `os.wait4` for that child
+alone, the child's own peak RSS (`vmhwm_mb`, the VmHWM it writes to stderr
+at exit; CLI commands run as `python -c` with runpy so they write it too),
+its exit code and the sha256 of its stdout. Per case the file gives each side's medians and the change's
 wall-time ratio to the parent's. The ladder sets no gate; it records
 numbers.
 """
@@ -37,6 +41,7 @@ numbers.
 import argparse
 import hashlib
 import json
+import math
 import os
 import random
 import shutil
@@ -56,11 +61,22 @@ SIZES = (300, 1000)
 QUICK_SIZES = (10,)
 JUMP_SIZES = (10_000, 20_000, 40_000)
 QUICK_JUMP_SIZES = (200,)
+GRID_SIDE, GRID_TOKENS = 60, 900
+QUICK_GRID_SIDE, QUICK_GRID_TOKENS = 10, 25
 K = 3
-CLI = (sys.executable, "-m", "kjump.cli")
+# every child starts with this: at exit it writes its own peak RSS, the
+# VmHWM line of /proc/self/status, which exec resets, to stderr; the
+# `ru_maxrss` of os.wait4 would start from this process's peak instead
+PEAK = (
+    "import atexit, sys\n"
+    "atexit.register(lambda: sys.stderr.write("
+    "next(x for x in open('/proc/self/status') if x.startswith('VmHWM:'))))\n"
+)
+# `python -m kjump.cli`, with PEAK run first
+CLI = (sys.executable, "-c", PEAK + "import runpy\nrunpy.run_module('kjump.cli', run_name='__main__')\n")
 # a library case's child runs its code after this, with `text` the file it
 # is given; the code calls only names that every compared commit has
-SNIPPET = "import sys\nfrom kjump import engine, graph, reduction\ntext = open(sys.argv[1]).read()\n"
+SNIPPET = PEAK + "import random\nfrom kjump import engine, graph, reduction\ntext = open(sys.argv[1]).read()\n"
 
 
 def formula(size):
@@ -77,17 +93,20 @@ def write(tmp, name, text):
 
 
 def edgelist(tmp, graph, n):
-    """Write the n-vertex path or rung-numbered ladder as an edge list in
-    tmp; returns its path. Lines are written as they are made: a child's
-    `ru_maxrss` starts from this process's peak, which must stay small."""
-    step = 1 if graph == "path" else 2
-    rungs = range(0, n, 2) if graph == "ladder" else range(0)  # edges c -- c + 1
-    rails = range(n - step)  # edges x -- x + step
+    """Write the n-vertex path, rung-numbered ladder or square grid (vertex
+    w * row + column on a side of w) as an edge list in tmp; returns its
+    path."""
+    if graph == "grid":
+        w = math.isqrt(n)
+        edges = [(x, x + 1) for x in range(n) if x % w < w - 1] + [(x, x + w) for x in range(n - w)]
+    else:
+        step = 1 if graph == "path" else 2
+        rungs = [(c, c + 1) for c in range(0, n, 2)] if graph == "ladder" else []
+        edges = rungs + [(x, x + step) for x in range(n - step)]
     path = os.path.join(tmp, f"{graph}_{n}.txt")
     with open(path, "w") as fh:
-        fh.write(f"p edge {n} {len(rungs) + len(rails)}\n")
-        fh.writelines(f"e {c + 1} {c + 2}\n" for c in rungs)
-        fh.writelines(f"e {x + 1} {x + step + 1}\n" for x in rails)
+        fh.write(f"p edge {n} {len(edges)}\n")
+        fh.writelines(f"e {a + 1} {b + 1}\n" for a, b in edges)
     return path
 
 
@@ -113,9 +132,11 @@ def groups(tmp, quick):
             group.append((f"simulate_{graph}_{case}_{n}", argv, out))
         table.append(group)
     # library calls, one group each: the longest path, the largest formula,
-    # and every independent set of `tokens` vertices on a short path at k = n - 1
+    # the grid's dense matching, and every independent set of `tokens`
+    # vertices on a short path at k = n - 1
     n, size = jump_sizes[-1], sizes[-1]
     reach, tokens = (12, 3) if quick else (45, 6)
+    side, cells = (QUICK_GRID_SIDE, QUICK_GRID_TOKENS) if quick else (GRID_SIDE, GRID_TOKENS)
     parse = "g = graph.parse_edgelist(text)\n"
     calls = {
         f"parse_path_{n}": (parse + "print(g.n, g.m)", graphs["path", n]),
@@ -123,6 +144,11 @@ def groups(tmp, quick):
         f"bound_{size}": (
             f"i = reduction.build_instance(reduction.parse_e3cnf(text), {K})\n"
             "print(engine.lower_bound_moves(i.graph, i.start, i.target, i.k))", cnfs[size]),
+        f"bound_grid_{side}": (
+            parse + f"rng, w = random.Random(1), {side}\n"
+            "s, t = (rng.sample([x for x in range(g.n) if (x // w + x % w) % 2 == p], "
+            f"{cells}) for p in (0, 1))\n"
+            "print(engine.lower_bound_moves(g, s, t, 1))", edgelist(tmp, "grid", side * side)),
         f"reachable_path_{reach}": (
             parse + f"print(len(engine.reachable_configs(g, range(0, {2 * tokens}, 2), g.n - 1)))",
             edgelist(tmp, "path", reach)),
@@ -134,8 +160,8 @@ def groups(tmp, quick):
 
 def run_child(checkout, argv, out_path):
     """Run argv in checkout, with its src on the path and stdout to
-    out_path; returns its wall and process seconds, peak RSS, exit code and
-    stdout digest."""
+    out_path; returns its wall and process seconds, the peak RSS it writes
+    to stderr, its exit code and its stdout digest."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
     with open(out_path, "wb") as out, tempfile.TemporaryFile() as err:
         start = time.perf_counter()
@@ -143,9 +169,11 @@ def run_child(checkout, argv, out_path):
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
         proc.returncode = code = os.waitstatus_to_exitcode(status)
-        if code != 0:
-            err.seek(0)
-            sys.stderr.write(err.read().decode(errors="replace"))
+        err.seek(0)
+        lines = err.read().decode(errors="replace").splitlines(keepends=True)
+    if code != 0:
+        sys.stderr.writelines(lines)
+    hwm = [int(x.split()[1]) for x in lines if x.startswith("VmHWM:")]  # kB
     digest = hashlib.sha256()
     with open(out_path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
@@ -153,17 +181,20 @@ def run_child(checkout, argv, out_path):
     return {
         "wall_s": round(wall, 3),
         "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
-        "maxrss_mb": round(usage.ru_maxrss / 1024, 1),  # kB on Linux
+        "vmhwm_mb": round(hwm[-1] / 1024, 1) if hwm else None,
         "exit": code,
         "stdout_sha256": digest.hexdigest(),
     }
 
 
 def _medians(runs):
-    return {
-        key: round(statistics.median(r[key] for r in runs), 3)
-        for key in ("wall_s", "cpu_s", "maxrss_mb")
-    }
+    """Per key, the median over the runs that have a value: a child killed
+    by a signal writes no VmHWM."""
+    out = {}
+    for key in ("wall_s", "cpu_s", "vmhwm_mb"):
+        values = [r[key] for r in runs if r[key] is not None]
+        out[key] = round(statistics.median(values), 3) if values else None
+    return out
 
 
 def summarize(runs):
@@ -211,16 +242,18 @@ def main(argv=None):
         "what": what,
         "machine": machine(),
         "command": (
-            f"python -m kjump.cli reduce <planted m = n formula, seed 1> --k {K}, then"
+            f"kjump reduce <planted m = n formula, seed 1> --k {K}, then"
             " kjump stats on that side's output; kjump simulate <n-vertex path or"
             " rung-numbered ladder edge list> <move 0 -> n - 1 from {0} or"
             f" range(0, n - 3, 7)> --k {K} --format edgelist; python -c: parse_edgelist,"
             " then dist(g, 0, n - 1), on the largest path; build_instance at"
-            f" k = {K}, then lower_bound_moves, on the largest formula;"
+            f" k = {K}, then lower_bound_moves, on the largest formula; lower_bound_moves"
+            " at k = 1 from a random.Random(1) sample of even cells to one of odd cells"
+            " on the 60 x 60 grid (900 tokens) or 10 x 10 grid (25 tokens);"
             " len(reachable_configs) of range(0, 12, 2) on the 45-vertex path, or of"
             " range(0, 6, 2) on the 12-vertex path, at k = n - 1; one child process"
             " per command, each side in its own clean clone, the side that runs"
-            " first alternating from pair to pair"
+            " first alternating from pair to pair; vmhwm_mb is the child's VmHWM"
         ),
         **{side: {"commit": commits[side], "src_lines": lines[side]} for side in SIDES},
         "pairs": args.pairs,
@@ -233,7 +266,7 @@ def main(argv=None):
         print(
             f"{name:<29} wall parent {case['parent']['wall_s']:>8.3f} s"
             f"  change {case['change']['wall_s']:>8.3f} s  ratio {case['wall_ratio']:.3f}"
-            f"  maxrss {case['parent']['maxrss_mb']:.1f} -> {case['change']['maxrss_mb']:.1f} MB"
+            f"  vmhwm {case['parent']['vmhwm_mb']:.1f} -> {case['change']['vmhwm_mb']:.1f} MB"
             f"  stdout_equal {case['stdout_equal']}"
         )
 

@@ -406,6 +406,7 @@ def validate_sequence(g, seq, k=None):
     Rejection is a value, not an exception."""
     if k is None:
         k = seq.k
+    _check_k(k)
     if not is_independent(g, seq.start):
         return ValidationReport(False, None, "start set is not independent")
     cur = _to_mask(seq.start)
@@ -439,14 +440,13 @@ def diameter_and_bound(g, s, t, k):
     levels 0, k, 2k, ... and the last split each start's targets into cost
     classes, kept as masks, and no cost table is built unless needed.
 
-    The warm start of `_min_cost_matching` is read off those masks: u_i is
-    row i's lowest cost, v_j the lowest reduced cost c - u_i of target j
-    over the rows, and row i takes the lowest free target that is tight
-    (c - u_i = v_j), the pairs the dense greedy pass takes. u and v are
-    dual feasible, so when every row is matched the matching is optimal and
-    its cost is sum(u) + sum(v), by LP duality; so it was on every reduction
-    instance tried. Otherwise the cost table is read off the masks and
-    `_min_cost_matching` solves it."""
+    A dual certificate is read off those masks: u_i is row i's lowest
+    cost, v_j the lowest reduced cost c - u_i of target j over the rows,
+    and row i takes the lowest free target that is tight (c - u_i = v_j).
+    u and v are dual feasible, so when every row is matched the matching is
+    optimal and its cost is sum(u) + sum(v), by LP duality; so it was on
+    every reduction instance tried. Otherwise the cost table is read off
+    the masks and `_min_cost_matching` solves it."""
     s, t = _check_pair(g, s, t, k)
     starts, tvs = sorted(s), sorted(t)
     tmask = _to_mask(tvs)
@@ -510,29 +510,17 @@ def _min_cost_matching(cost):
     potentials u (rows) and v (columns), kept feasible (cost[i][j] >= u[i] +
     v[j]) with equality on every matched pair.
 
-    Warm start: u holds the row minima and v the column minima of the
-    reduced costs, and a greedy pass matches tight entries (reduced cost 0)
-    first. Only the rows it leaves free are augmented, each by one Dijkstra
-    search over reduced costs, O(r^2): about a quarter of them on random
-    costs, where the warm start halves the time of a cold one (0.12 against
-    0.21 s at r = 300). `diameter_and_bound` reads the same warm start off
-    its cost classes and calls this only when the greedy pass leaves a row
-    free.
+    u = v = 0 is feasible, since no cost is negative, and every row is
+    augmented by one Dijkstra search over reduced costs, O(r^2).
+    `diameter_and_bound` reads a warm start off its cost classes and calls
+    this only when its greedy pass leaves a row free.
     """
     r = len(cost)
-    u = [min(row) for row in cost]
-    v = [min(cost[i][j] - u[i] for i in range(r)) for j in range(r)]
+    u = [0] * r
+    v = [0] * r
     col4row = [-1] * r
     row4col = [-1] * r
-    for i, row in enumerate(cost):
-        ui = u[i]
-        for j in range(r):
-            if row4col[j] < 0 and row[j] - ui == v[j]:
-                row4col[j], col4row[i] = i, j
-                break
     for free in range(r):
-        if col4row[free] >= 0:
-            continue
         # Dijkstra from row `free`: cost_to[j] is the shortest reduced-cost
         # alternating path to column j, path[j] the row it arrives from
         cost_to = [float("inf")] * r

@@ -324,6 +324,17 @@ def test_verify_reports_offending_step(tmp_path, capsys):
     assert "distance" in out["reason"]
 
 
+@pytest.mark.parametrize("moves", [[], [[0, 2]]])
+def test_verify_rejects_k_of_zero(tmp_path, capsys, moves):
+    # as decide and shortest do, whether or not the sequence has a move
+    inst = instance_file(tmp_path, path_graph(4), {0}, {2}, 0)
+    sequence = write(tmp_path, "seq.json", {"start": [0], "moves": moves, "k": 0})
+    assert run(["verify", inst, sequence]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "jump distance k must be at least 1, got 0"}
+
+
 def test_deterministic_output(tmp_path, capsys):
     g = two_cluster_graph(2)
     gfile = write(tmp_path, "g.json", graph_to_json(g))

@@ -442,7 +442,7 @@ def test_lower_bound_matches_naive_costs():
     # reach several levels), disjoint unions of two and graphs with isolated
     # vertices, so that some pairs can only be matched across components;
     # the one run of ball levels behind lower_bound_moves and `kjump stats`
-    # fills the cost table and gives the diameter
+    # splits each start's targets into cost classes and gives the diameter
     graphs = random_graphs(20, 9, seed=89) + random_graphs(10, 14, seed=92)
     graphs += [path_graph(12), cycle_graph(13)]
     halves = random_graphs(20, 5, seed=90)
@@ -536,10 +536,10 @@ def test_min_cost_matching_matches_scipy():
 
 
 def test_min_cost_matching_random_costs_at_scale():
-    # the worst case for the warm start: random costs leave about a quarter
-    # of the rows free after the greedy pass, each augmented in O(r^2)
-    # (0.12 s, and 0.24 s for a textbook cold Hungarian); the bound catches
-    # a cliff, not the factor of two
+    # random costs, every row augmented from zero potentials in O(r^2)
+    # (0.11-0.21 s, against 0.06-0.12 s with the row and column minima and
+    # greedy warm start that was dropped, on a 2 vCPU Xeon with CPython
+    # 3.11); the bound catches a cliff, not the factor of two
     rng = random.Random(300)
     cost = [[rng.randint(0, 10**6) for _ in range(300)] for _ in range(300)]
     t0 = time.process_time()
@@ -885,6 +885,7 @@ def test_every_search_rejects_k_below_one(k):
         lambda: exists_within(g, {0}, {3}, k, 3),
         lambda: k_adjacent(g, {0}, {1}, k),
         lambda: lower_bound_moves(g, {0}, {3}, k),
+        lambda: validate_sequence(g, MoveSequence(frozenset({0}), (), k)),
     ]
     for call in calls:
         with pytest.raises(GraphError, match="at least 1"):

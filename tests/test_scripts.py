@@ -136,7 +136,7 @@ def test_scale_ladder_quick_writes_its_schema(tmp_path):
         "reduce_10", "stats_10",
         "simulate_path_free_200", "simulate_path_blocked_200",
         "simulate_ladder_free_200", "simulate_ladder_blocked_200",
-        "parse_path_200", "dist_path_200", "bound_10", "reachable_path_12",
+        "parse_path_200", "dist_path_200", "bound_10", "bound_grid_10", "reachable_path_12",
     ]
     for case in doc["cases"].values():
         assert list(case) == [
@@ -144,14 +144,16 @@ def test_scale_ladder_quick_writes_its_schema(tmp_path):
         ]
         assert case["exits_zero"] is True and case["stdout_equal"] is True
         for side in ("parent", "change"):
-            assert set(case[side]) == {"wall_s", "cpu_s", "maxrss_mb"}
+            assert set(case[side]) == {"wall_s", "cpu_s", "vmhwm_mb"}
             assert len(case["runs"][side]) == 2
             for run in case["runs"][side]:
-                assert set(run) == {"wall_s", "cpu_s", "maxrss_mb", "exit", "stdout_sha256"}
-                assert run["wall_s"] > 0 and run["maxrss_mb"] > 0
+                assert set(run) == {"wall_s", "cpu_s", "vmhwm_mb", "exit", "stdout_sha256"}
+                assert run["wall_s"] > 0 and run["vmhwm_mb"] > 0
     # each library case prints one known line; 120 = C(10, 3) independent
-    # 3-sets of the 12-vertex path, 40 = 2(m + n) at m = n = 10
+    # 3-sets of the 12-vertex path, 40 = 2(m + n) at m = n = 10, 69 the
+    # matching bound of 25 tokens on the 10 x 10 grid
     for name, line in [("parse_path_200", "200 199"), ("dist_path_200", "199"),
-                       ("bound_10", "40"), ("reachable_path_12", "120")]:
+                       ("bound_10", "40"), ("bound_grid_10", "69"),
+                       ("reachable_path_12", "120")]:
         digest = hashlib.sha256(f"{line}\n".encode()).hexdigest()
         assert doc["cases"][name]["runs"]["parent"][0]["stdout_sha256"] == digest
