@@ -33,9 +33,9 @@ which side goes first alternates from pair to pair. A run records its wall
 time, its process time (user + system) read by `os.wait4` for that child
 alone, the child's own peak RSS (`vmhwm_mb`, the VmHWM it writes to stderr
 at exit; CLI commands run as `python -c` with runpy so they write it too),
-its exit code and the sha256 of its stdout. Per case the file gives each side's medians and the change's
-wall-time ratio to the parent's. The ladder sets no gate; it records
-numbers.
+its exit code and the sha256 of its stdout. Per case the file gives each
+side's medians and the change's wall-time ratio to the parent's. The ladder
+sets no gate; it records numbers.
 """
 
 import argparse
@@ -73,10 +73,15 @@ PEAK = (
     "next(x for x in open('/proc/self/status') if x.startswith('VmHWM:'))))\n"
 )
 # `python -m kjump.cli`, with PEAK run first
-CLI = (sys.executable, "-c", PEAK + "import runpy\nrunpy.run_module('kjump.cli', run_name='__main__')\n")
+CLI = (
+    sys.executable, "-c",
+    PEAK + "import runpy\nrunpy.run_module('kjump.cli', run_name='__main__')\n",
+)
 # a library case's child runs its code after this, with `text` the file it
 # is given; the code calls only names that every compared commit has
-SNIPPET = PEAK + "import random\nfrom kjump import engine, graph, reduction\ntext = open(sys.argv[1]).read()\n"
+SNIPPET = PEAK + (
+    "import random\nfrom kjump import engine, graph, reduction\ntext = open(sys.argv[1]).read()\n"
+)
 
 
 def formula(size):
@@ -98,7 +103,8 @@ def edgelist(tmp, graph, n):
     path."""
     if graph == "grid":
         w = math.isqrt(n)
-        edges = [(x, x + 1) for x in range(n) if x % w < w - 1] + [(x, x + w) for x in range(n - w)]
+        edges = [(x, x + 1) for x in range(n) if x % w < w - 1]
+        edges += [(x, x + w) for x in range(n - w)]
     else:
         step = 1 if graph == "path" else 2
         rungs = [(c, c + 1) for c in range(0, n, 2)] if graph == "ladder" else []
@@ -216,7 +222,8 @@ def main(argv=None):
     p.add_argument("parent")
     p.add_argument("change", nargs="?", default="HEAD")
     p.add_argument("--pairs", type=int, default=3)
-    p.add_argument("--quick", action="store_true", help="m = n = 10, n = 200 and the 12-vertex path only")
+    p.add_argument("--quick", action="store_true",
+                   help="m = n = 10, n = 200, the 10 x 10 grid and the 12-vertex path only")
     p.add_argument("--out", required=True)
     args = p.parse_args(argv)
 
@@ -266,7 +273,7 @@ def main(argv=None):
         print(
             f"{name:<29} wall parent {case['parent']['wall_s']:>8.3f} s"
             f"  change {case['change']['wall_s']:>8.3f} s  ratio {case['wall_ratio']:.3f}"
-            f"  vmhwm {case['parent']['vmhwm_mb']:.1f} -> {case['change']['vmhwm_mb']:.1f} MB"
+            f"  vmhwm {case['parent']['vmhwm_mb']} -> {case['change']['vmhwm_mb']} MB"
             f"  stdout_equal {case['stdout_equal']}"
         )
 

@@ -537,9 +537,8 @@ def test_min_cost_matching_matches_scipy():
 
 def test_min_cost_matching_random_costs_at_scale():
     # random costs, every row augmented from zero potentials in O(r^2)
-    # (0.11-0.21 s, against 0.06-0.12 s with the row and column minima and
-    # greedy warm start that was dropped, on a 2 vCPU Xeon with CPython
-    # 3.11); the bound catches a cliff, not the factor of two
+    # (0.11-0.21 s on a 2 vCPU Xeon with CPython 3.11); the bound catches a
+    # cliff, not a constant factor
     rng = random.Random(300)
     cost = [[rng.randint(0, 10**6) for _ in range(300)] for _ in range(300)]
     t0 = time.process_time()
